@@ -13,11 +13,11 @@
 //
 // Correctness gates in the exit code:
 //   - every configuration must complete and decode bit-exactly;
-//   - in smoke mode with observability compiled in, the best banded
-//     configuration at g = 256 whose overhead is within +0.05 of dense must
-//     absorb at least 3x faster than dense (the ROADMAP item-1 claim). The
-//     committed baseline pins this via the perf gate too
-//     (notes:band_speedup_g256).
+//   - in smoke mode, the best banded configuration at g = 256 whose
+//     overhead is within +0.05 of dense must absorb at least 3x faster than
+//     dense (the ROADMAP item-1 claim). Absorb time is wall-clock, so the
+//     gate holds in NCAST_OBS=OFF builds too. The committed baseline pins
+//     this via the perf gate too (notes:band_speedup_g256).
 
 #include <cstdint>
 #include <cstdio>
@@ -31,7 +31,6 @@
 #include "gf/dispatch.hpp"
 #include "gf/gf256.hpp"
 #include "metrics_session.hpp"
-#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -91,14 +90,14 @@ RunResult run_one(const coding::GenerationStructure& s, std::size_t symbols,
     enc.emit_into(p, rng);
     ++r.sent;
     r.coeff_entries += p.coeffs.size();
-    obs::Stopwatch sw;
+    bench::WallTimer sw;
     dec.absorb(p);
     r.absorb_ns += sw.elapsed_ns();
   }
   r.complete = dec.complete();
   if (!r.complete) return r;
 
-  obs::Stopwatch fin;
+  bench::WallTimer fin;
   const auto decoded = dec.source_packets();
   r.finalize_ns = fin.elapsed_ns();
 
@@ -217,7 +216,6 @@ int main() {
   session.note("band_speedup_g256", speedup);
   session.note("all_configs_decoded", all_ok);
 
-  const bool obs_on = NCAST_OBS_ENABLED != 0;
   std::printf(
       "\nReading: at g = 256, the cheapest comparable-overhead banded config\n"
       "(%s) absorbs %.1fx faster than dense. Overlapped classes trade more\n"
@@ -226,7 +224,7 @@ int main() {
       best_band_label.empty() ? "none" : best_band_label.c_str(), speedup);
 
   if (!all_ok) return 1;
-  if (smoke && obs_on && speedup < 3.0) {
+  if (smoke && speedup < 3.0) {
     std::fprintf(stderr,
                  "FAIL: banded speedup %.2fx < 3x at g=256 (dense %.0f ns vs "
                  "banded %.0f ns)\n",

@@ -10,7 +10,8 @@
 // traffic, per-shard event queues, outbox merges, and the conservative
 // epoch barrier.
 //
-// Reported: wall clock, events per second, peak RSS (the telemetry fields
+// Reported: wall clock, events per second, mean wall time per
+// CurtainServer::join, peak RSS (the telemetry fields
 // tools/bench_validate now requires), and convergence — the final matrix
 // must hold exactly joins - leaves - repairs working rows and zero failed
 // rows. Smoke mode (NCAST_BENCH_SMOKE=1) runs 100k nodes so CI's perf gate
@@ -90,6 +91,7 @@ int main() {
   std::vector<std::uint8_t> gone(n, 0);  // left or crashed (server lane)
   std::uint64_t leaves = 0, crashes = 0, repairs = 0, skipped = 0;
   double last_repair_time = -1.0;
+  double join_ns = 0.0;  // wall time inside CurtainServer::join, summed
 
   // Join wave: client i's hello leaves its lane at a deterministic offset
   // and lands on the server lane one latency later.
@@ -98,10 +100,13 @@ int main() {
         join_window * static_cast<double>(i) / static_cast<double>(n);
     engine.schedule_on(
         static_cast<sim::LaneId>(i + 1), at,
-        [&engine, &server, &node_of, i, latency] {
-          engine.schedule_on(
-              0, engine.now() + latency,
-              [&server, &node_of, i] { node_of[i] = server.join().node; });
+        [&engine, &server, &node_of, &join_ns, i, latency] {
+          engine.schedule_on(0, engine.now() + latency,
+                             [&server, &node_of, &join_ns, i] {
+                               const bench::WallTimer t;
+                               node_of[i] = server.join().node;
+                               join_ns += t.elapsed_ns();
+                             });
         });
   }
 
@@ -168,11 +173,12 @@ int main() {
   const double horizon =
       join_window + latency + 1.0 + churn_window + 20.0 + repair_delay + 5.0;
 
-  obs::Stopwatch wall;
+  bench::WallTimer wall;
   const std::size_t executed = engine.run_until(horizon);
   const double wall_s = wall.elapsed_ns() * 1e-9;
   const double events_per_sec =
       wall_s > 0.0 ? static_cast<double>(executed) / wall_s : 0.0;
+  const double join_ns_mean = join_ns / static_cast<double>(n);
 
   const auto& m = server.matrix();
   const std::uint64_t expected_rows =
@@ -200,6 +206,7 @@ int main() {
   table.add_row({"epochs run", std::to_string(engine.epochs_run())});
   table.add_row({"wall clock (s)", fmt(wall_s, 2)});
   table.add_row({"events / s", fmt(events_per_sec, 0)});
+  table.add_row({"join (ns, mean)", fmt(join_ns_mean, 0)});
   table.add_row({"peak RSS (MiB)",
                  fmt(static_cast<double>(rss) / (1024.0 * 1024.0), 1)});
   table.print();
@@ -207,6 +214,7 @@ int main() {
 
   session.note("wall_clock_s", wall_s);
   session.note("events_per_sec", events_per_sec);
+  session.note("join_ns_mean", join_ns_mean);
   session.note("events_executed", executed);
   session.note("peak_rss_mib", static_cast<double>(rss) / (1024.0 * 1024.0));
   session.note("joins", server.stats().joins);

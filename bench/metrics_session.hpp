@@ -11,6 +11,7 @@
 // This header deliberately depends only on obs + util so the google-benchmark
 // binaries (which do not link the overlay stack) can use it too.
 
+#include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +33,25 @@
 #include "util/table.hpp"
 
 namespace ncast::bench {
+
+/// Wall-clock timer for a bench's own measurements. Unlike obs::Stopwatch it
+/// does not compile out under NCAST_OBS=OFF, so reported timings stay real
+/// in the kill-switch build.
+class WallTimer {
+ public:
+  WallTimer() : start_(Clock::now()) {}
+
+  /// Nanoseconds since construction.
+  double elapsed_ns() const {
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start_)
+            .count());
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;  // ncast:allow(determinism.steady_clock): bench timings are printed and reported, never fed back into results
+  Clock::time_point start_;
+};
 
 /// True when NCAST_BENCH_SMOKE is set in the environment: benches that
 /// support it shrink their workloads to seconds so CI can exercise the whole

@@ -85,67 +85,58 @@ void ThreadMatrix::insert_row(std::size_t pos, NodeId node,
   m.failed = false;
   std::copy(threads, threads + count, cols_.begin() + m.off);
 
-  order_.insert_at(pos, node);
-  splice_links(node);
+  order_.insert_at(pos, node, row_tag(node));
+  for (std::uint32_t i = 0; i < m.len; ++i) link_slot(node, m.off + i);
 }
 
-void ThreadMatrix::splice_links(NodeId node) {
+std::uint64_t ThreadMatrix::row_tag(NodeId node) const {
   const RowMeta& m = meta_[node];
-  const std::uint32_t off = m.off;
-  const std::uint32_t len = m.len;
+  std::uint64_t tag = 0;
+  for (std::uint32_t i = 0; i < m.len; ++i) tag |= column_bit(cols_[m.off + i]);
+  return tag;
+}
 
-  // Resolve each column's child by walking the curtain downward from the new
-  // row, intersecting each visited row's span with the still-unresolved
-  // columns (both sorted — one two-pointer pass per visited row). For the
-  // paper's balanced workloads the nearest clipper of some column is a few
-  // rows away, so the walk resolves everything after O((k/d) ln d) visits in
-  // expectation; columns that reach the bottom unresolved are hanging ends
-  // and read the per-column tail array instead, so an append is O(d) flat.
-  if (resolved_scratch_.size() < len) resolved_scratch_.resize(len);
-  std::fill(resolved_scratch_.begin(), resolved_scratch_.begin() + len, 0);
-  std::uint32_t remaining = len;
+bool ThreadMatrix::clips(NodeId node, ColumnId column) const {
+  const RowMeta& m = meta_[node];
+  const ColumnId* first = cols_.data() + m.off;
+  return std::binary_search(first, first + m.len, column);
+}
 
-  NodeId below = order_.next(node);
-  while (remaining > 0 && below != OrderIndex::kNil) {
-    const RowMeta& bm = meta_[below];
-    std::uint32_t i = 0, j = 0;
-    while (i < len && j < bm.len) {
-      const ColumnId mine = cols_[off + i];
-      const ColumnId theirs = cols_[bm.off + j];
-      if (mine < theirs) {
-        ++i;
-      } else if (theirs < mine) {
-        ++j;
-      } else {
-        if (resolved_scratch_[i] == 0) {
-          resolved_scratch_[i] = 1;
-          --remaining;
-          const std::uint32_t child_slot = bm.off + j;
-          const NodeId parent = up_[child_slot];
-          up_[off + i] = parent;
-          down_[off + i] = below;
-          up_[child_slot] = node;
-          if (parent != kServerNode) {
-            down_[slot_of(parent, mine)] = node;
-          }
-        }
-        ++i;
-        ++j;
-      }
-    }
-    below = order_.next(below);
+NodeId ThreadMatrix::clipper_below(NodeId node, ColumnId column) const {
+  const std::uint64_t bit = column_bit(column);
+  for (NodeId r = order_.next_tagged(node, bit); r != OrderIndex::kNil;
+       r = order_.next_tagged(r, bit)) {
+    if (clips(r, column)) return r;  // else an aliased column (k > 64)
   }
+  return kNoNode;
+}
 
-  for (std::uint32_t i = 0; remaining > 0 && i < len; ++i) {
-    if (resolved_scratch_[i] != 0) continue;
-    --remaining;
-    const ColumnId c = cols_[off + i];
-    const NodeId parent = tail_[c];
-    up_[off + i] = parent;
-    down_[off + i] = kNoNode;
-    if (parent != kServerNode) down_[slot_of(parent, c)] = node;
+NodeId ThreadMatrix::clipper_above(NodeId node, ColumnId column) const {
+  const std::uint64_t bit = column_bit(column);
+  for (NodeId r = order_.prev_tagged(node, bit); r != OrderIndex::kNil;
+       r = order_.prev_tagged(r, bit)) {
+    if (clips(r, column)) return r;
+  }
+  return kServerNode;
+}
+
+void ThreadMatrix::link_slot(NodeId node, std::uint32_t slot) {
+  // The slot's parent is its child's previous upward link, or the column
+  // tail when the slot becomes the hanging end.
+  const ColumnId c = cols_[slot];
+  const NodeId child = clipper_below(node, c);
+  NodeId parent;
+  if (child != kNoNode) {
+    const std::uint32_t child_slot = slot_of(child, c);
+    parent = up_[child_slot];
+    up_[child_slot] = node;
+  } else {
+    parent = tail_[c];
     tail_[c] = node;
   }
+  up_[slot] = parent;
+  down_[slot] = child;
+  if (parent != kServerNode) down_[slot_of(parent, c)] = node;
 }
 
 void ThreadMatrix::unlink_slot(std::uint32_t slot) {
@@ -264,16 +255,9 @@ NodeId ThreadMatrix::parent_on_column(NodeId node, ColumnId column) const {
   const std::uint32_t slot = slot_of(node, column);
   const RowMeta& m = meta_[node];
   if (slot < m.off + m.len && cols_[slot] == column) return up_[slot];
-  // Not clipped by this row (e.g. a complaint racing an offload): fall back
-  // to walking the curtain upward for the nearest clipper.
-  for (NodeId above = order_.prev(node); above != OrderIndex::kNil;
-       above = order_.prev(above)) {
-    const RowMeta& am = meta_[above];
-    const ColumnId* first = cols_.data() + am.off;
-    const ColumnId* it = std::lower_bound(first, first + am.len, column);
-    if (it != first + am.len && *it == column) return above;
-  }
-  return kServerNode;
+  // Not clipped by this row (e.g. a complaint racing an offload): ask the
+  // order index for the nearest clipper above.
+  return clipper_above(node, column);
 }
 
 NodeId ThreadMatrix::child_on_column(NodeId node, ColumnId column) const {
@@ -282,14 +266,7 @@ NodeId ThreadMatrix::child_on_column(NodeId node, ColumnId column) const {
   const std::uint32_t slot = slot_of(node, column);
   const RowMeta& m = meta_[node];
   if (slot < m.off + m.len && cols_[slot] == column) return down_[slot];
-  for (NodeId below = order_.next(node); below != OrderIndex::kNil;
-       below = order_.next(below)) {
-    const RowMeta& bm = meta_[below];
-    const ColumnId* first = cols_.data() + bm.off;
-    const ColumnId* it = std::lower_bound(first, first + bm.len, column);
-    if (it != first + bm.len && *it == column) return below;
-  }
-  return kNoNode;
+  return clipper_below(node, column);
 }
 
 NodeId ThreadMatrix::tail_of_column(ColumnId column) const {
@@ -300,14 +277,10 @@ NodeId ThreadMatrix::tail_of_column(ColumnId column) const {
 void ThreadMatrix::add_thread(NodeId node, ColumnId column) {
   if (column >= k_) throw std::invalid_argument("ThreadMatrix::add_thread: column");
   check_known(node);
-  RowMeta& m = meta_[node];
-  {
-    const ColumnId* first = cols_.data() + m.off;
-    const ColumnId* it = std::lower_bound(first, first + m.len, column);
-    if (it != first + m.len && *it == column) {
-      throw std::invalid_argument("ThreadMatrix::add_thread: already clipped");
-    }
+  if (clips(node, column)) {
+    throw std::invalid_argument("ThreadMatrix::add_thread: already clipped");
   }
+  RowMeta& m = meta_[node];
   // Grow the span if at capacity (new slot from the next size class; links
   // reference rows by id, not arena offsets, so neighbors are unaffected).
   if (m.len == (std::uint32_t{1} << m.cap_log2)) {
@@ -333,33 +306,8 @@ void ThreadMatrix::add_thread(NodeId node, ColumnId column) {
   cols_[ins] = column;
   ++m.len;
 
-  // Find this column's child by walking downward; the parent is the child's
-  // previous upward link (or the column tail when the new slot hangs).
-  NodeId child = kNoNode;
-  for (NodeId below = order_.next(node); below != OrderIndex::kNil;
-       below = order_.next(below)) {
-    const RowMeta& bm = meta_[below];
-    const ColumnId* first = cols_.data() + bm.off;
-    const ColumnId* it = std::lower_bound(first, first + bm.len, column);
-    if (it != first + bm.len && *it == column) {
-      child = below;
-      break;
-    }
-  }
-  if (child != kNoNode) {
-    const std::uint32_t child_slot = slot_of(child, column);
-    const NodeId parent = up_[child_slot];
-    up_[ins] = parent;
-    down_[ins] = child;
-    up_[child_slot] = node;
-    if (parent != kServerNode) down_[slot_of(parent, column)] = node;
-  } else {
-    const NodeId parent = tail_[column];
-    up_[ins] = parent;
-    down_[ins] = kNoNode;
-    if (parent != kServerNode) down_[slot_of(parent, column)] = node;
-    tail_[column] = node;
-  }
+  link_slot(node, ins);
+  order_.set_tag(node, order_.tag(node) | column_bit(column));
 }
 
 void ThreadMatrix::drop_thread(NodeId node, ColumnId column) {
@@ -379,9 +327,12 @@ void ThreadMatrix::drop_thread(NodeId node, ColumnId column) {
     down_[j] = down_[j + 1];
   }
   --m.len;
+  // Recomputed, not cleared: another column may share the dropped one's bit.
+  order_.set_tag(node, row_tag(node));
 }
 
 bool ThreadMatrix::check_invariants() const {
+  if (!order_.audit()) return false;
   // Span hygiene + failed census, walking the order index.
   std::size_t failed = 0;
   std::size_t seen = 0;
@@ -397,6 +348,7 @@ bool ThreadMatrix::check_invariants() const {
     }
     if (m.failed) ++failed;
     if (order_.position(node) != pos) return false;  // order index coherent
+    if (order_.tag(node) != row_tag(node)) return false;  // tag = column set
     ++pos;
     ++seen;
   }

@@ -15,9 +15,15 @@
 // below clipping the same column — so `parents()` / `children()` /
 // `edges()` read compact spans instead of rescanning the curtain, and
 // `hanging_ends()` reads the per-column tail array. Curtain order is an
-// order-statistic treap over node ids (order_index.hpp), making
-// `append_row` / `insert_row` / `erase_row` / `position` O(log n) plus O(d)
-// link splicing. The public surface is unchanged from the AoS days except
+// order-statistic treap over node ids (order_index.hpp) that tags each row
+// with its column set (bit c & 63 per column) and keeps per-subtree ORs of
+// the tags, so the nearest row above or below that clips a column is an
+// O(log n) tree query, not a curtain walk. Bits alias when k > 64; a hit on
+// an aliased bit is confirmed against the row's span and the query resumes
+// past it. `append_row` / `insert_row` are therefore O(d log n) (one
+// clipper query per column of the row, plus the treap insert), `erase_row`
+// O(log n + d), `position` O(log n), and `add_thread` / `drop_thread`
+// O(log n + d). The public surface is unchanged from the AoS days except
 // that `row()` returns a value whose `threads` is a borrowed span
 // (invalidated by the next mutation), not an owned vector.
 
@@ -156,7 +162,7 @@ class ThreadMatrix {
   std::size_t position(NodeId node) const;
 
   /// Iteration over rows in curtain order without materializing a vector:
-  /// `for (NodeId n : m.order()) ...`. O(1) per step.
+  /// `for (NodeId n : m.order()) ...`. Amortized O(1) per step.
   const OrderIndex& order() const { return order_; }
 
   /// Rows in curtain order, materialized (compat; prefer order()).
@@ -180,11 +186,12 @@ class ThreadMatrix {
 
   /// Nearest row above `node` clipping `column` (kServerNode if the thread
   /// comes straight from the server). O(log d) when `node` clips the column
-  /// (one link read); falls back to an upward curtain walk when it does not.
+  /// (one link read); a tagged order-index query, O(log n), when it does not
+  /// (more only when k > 64 and rows clipping aliased columns sit between).
   NodeId parent_on_column(NodeId node, ColumnId column) const;
 
   /// Nearest row below `node` clipping `column` (kNoNode if none). O(log d)
-  /// when `node` clips the column; downward walk otherwise.
+  /// when `node` clips the column; a tagged query, O(log n), otherwise.
   NodeId child_on_column(NodeId node, ColumnId column) const;
 
   /// Last row clipping `column` (kServerNode if the column is unclipped).
@@ -201,8 +208,9 @@ class ThreadMatrix {
   void drop_thread(NodeId node, ColumnId column);
 
   /// Internal-consistency check (sorted distinct threads, valid columns,
-  /// coherent order index, link planes matching a from-scratch rebuild);
-  /// used by tests and debug assertions. O(n * d).
+  /// order index audited — counts, tag summaries, ends — with every row's
+  /// tag matching its columns, link planes matching a from-scratch
+  /// rebuild); used by tests and debug assertions. O(n * (d + log n)).
   bool check_invariants() const;
 
  private:
@@ -221,9 +229,22 @@ class ThreadMatrix {
   static std::uint8_t cap_log2_for(std::size_t len);
   /// Arena index of `column` within `node`'s span (binary search).
   std::uint32_t slot_of(NodeId node, ColumnId column) const;
-  /// Splices `node` into the per-column link lists for every column of its
-  /// freshly written span, given its order neighbors.
-  void splice_links(NodeId node);
+  /// Order-index tag bit of a column; distinct columns share one when k > 64.
+  static std::uint64_t column_bit(ColumnId column) {
+    return std::uint64_t{1} << (column & 63);
+  }
+  /// OR of column_bit over the row's columns.
+  std::uint64_t row_tag(NodeId node) const;
+  /// Whether the row's span holds `column` (binary search).
+  bool clips(NodeId node, ColumnId column) const;
+  /// Nearest row strictly below / above `node` that clips `column`
+  /// (kNoNode / kServerNode if none): a tagged order-index query, confirmed
+  /// against the row's span because bits alias when k > 64.
+  NodeId clipper_below(NodeId node, ColumnId column) const;
+  NodeId clipper_above(NodeId node, ColumnId column) const;
+  /// Splices the row's column at arena `slot` into that column's link list
+  /// between its nearest clippers above and below.
+  void link_slot(NodeId node, std::uint32_t slot);
   /// Removes the occupant from the link list of the column at arena slot.
   void unlink_slot(std::uint32_t slot);
 
@@ -241,9 +262,6 @@ class ThreadMatrix {
   std::vector<std::vector<std::uint32_t>> free_;
   std::vector<NodeId> tail_;      // per-column last clipper (kServerNode = none)
   std::size_t failed_count_ = 0;
-  /// Scratch for insert-time link resolution (reused; no steady-state
-  /// allocation once high-water capacity is reached).
-  std::vector<std::uint8_t> resolved_scratch_;
 };
 
 }  // namespace ncast::overlay

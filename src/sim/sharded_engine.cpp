@@ -177,20 +177,26 @@ void ShardedEngine::exec_shard(Shard& sh, SimTime limit, bool final_window) {
 void ShardedEngine::merge_outboxes(SimTime limit) {
   // ncast:merge-begin — cross-shard handoffs drain here in sorted order;
   // everything below must be invariant to the pre-sort arrival order.
-  merge_scratch_.clear();
-  for (Shard& sh : shards_v_) {
-    for (Outpost& p : sh.outbox) merge_scratch_.push_back(std::move(p));
-    sh.outbox.clear();
+  // Sort small keys, not the posts: each callback then moves exactly once,
+  // from its outbox straight into the destination's slab.
+  merge_keys_.clear();
+  for (std::uint32_t s = 0; s < shards_v_.size(); ++s) {
+    const std::vector<Outpost>& box = shards_v_[s].outbox;
+    for (std::uint32_t i = 0; i < box.size(); ++i) {
+      merge_keys_.push_back(MergeKey{box[i].at, box[i].emit_seq, box[i].src, s, i});
+    }
   }
   // The merge key never mentions shards, so destination sequencing is
-  // shard-count-invariant (determinism rule 2).
-  std::sort(merge_scratch_.begin(), merge_scratch_.end(),
-            [](const Outpost& a, const Outpost& b) {
+  // shard-count-invariant (determinism rule 2); it is unique per post, so
+  // the unstable sort still yields exactly one order.
+  std::sort(merge_keys_.begin(), merge_keys_.end(),
+            [](const MergeKey& a, const MergeKey& b) {
               if (a.at != b.at) return a.at < b.at;
               if (a.src != b.src) return a.src < b.src;
               return a.emit_seq < b.emit_seq;
             });
-  for (Outpost& p : merge_scratch_) {
+  for (const MergeKey& key : merge_keys_) {
+    Outpost& p = shards_v_[key.shard].outbox[key.idx];
     SimTime at = p.at;
     if (at < limit) {
       at = limit;  // conservative-window clamp (determinism rule 3)
@@ -200,7 +206,7 @@ void ShardedEngine::merge_outboxes(SimTime limit) {
     enqueue(shards_v_[shard_of(p.dest)], p.dest, at, std::move(p.fn), p.klass);
     ++handoffs_;
   }
-  merge_scratch_.clear();
+  for (Shard& sh : shards_v_) sh.outbox.clear();
   // ncast:merge-end
 }
 

@@ -167,6 +167,15 @@ class ShardedEngine {
     Callback fn;
   };
 
+  /// Sort key of one buffered post: its merge tag plus where it sits.
+  struct MergeKey {
+    SimTime at;
+    std::uint64_t emit_seq;
+    LaneId src;
+    std::uint32_t shard;
+    std::uint32_t idx;  ///< index into that shard's outbox
+  };
+
   struct Shard {
     std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
     std::vector<Slot> slots;
@@ -200,7 +209,7 @@ class ShardedEngine {
   std::vector<std::uint64_t> lane_seq_;   ///< next queue seq per lane
   std::vector<std::uint64_t> lane_emit_;  ///< next outbox emit seq per lane
   std::vector<std::unique_ptr<LaneScheduler>> lane_scheds_;
-  std::vector<Outpost> merge_scratch_;
+  std::vector<MergeKey> merge_keys_;  ///< reused across barriers
   std::uint64_t lifetime_executed_ = 0;
   std::uint64_t handoffs_ = 0;
   std::uint64_t clamped_ = 0;
