@@ -20,39 +20,96 @@ namespace {
 using ncast::Rng;
 using Gf = ncast::gf::Gf256;
 
-void BM_Gf256RegionMadd(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint8_t> dst(n), src(n);
-  Rng rng(1);
-  for (auto& b : src) b = static_cast<std::uint8_t>(rng.below(256));
-  std::uint8_t c = 7;
-  for (auto _ : state) {
-    Gf::region_madd(dst.data(), src.data(), c, n);
-    benchmark::DoNotOptimize(dst.data());
-    c = static_cast<std::uint8_t>(c * 3 + 1);
-    if (c == 0) c = 1;
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_Gf256RegionMadd)->Arg(64)->Arg(1024)->Arg(16384);
+// Region madds are priced per tier: the CPU's best tier and every tier below
+// it run through set_tier_for_testing (registered in main, after the codec
+// benchmarks). Args are {symbols, tier}. BM_*RegionMadd calls the field front
+// end, so rows below the tier's dispatch floor (min_len) take the front
+// end's short-row loop; BM_*KernelMadd calls the tier's kernel table
+// directly with the same per-call coefficient setup the front end does, so
+// its short sizes show what a lower floor would cost. Comparing the two at
+// 16..48 symbols is how each tier's floor is chosen (docs/performance.md).
 
-void BM_Gf2_16RegionMadd(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint16_t> dst(n), src(n);
-  Rng rng(2);
-  for (auto& b : src) b = static_cast<std::uint16_t>(rng.below(65536));
-  std::uint16_t c = 7;
-  for (auto _ : state) {
-    ncast::gf::Gf2_16::region_madd(dst.data(), src.data(), c, n);
-    benchmark::DoNotOptimize(dst.data());
-    c = static_cast<std::uint16_t>(c * 3 + 1);
-    if (c == 0) c = 1;
+/// Pins the GF tier for one benchmark run and restores the starting tier.
+class TierPin {
+ public:
+  explicit TierPin(std::int64_t tier) : restore_(ncast::gf::active_tier()) {
+    ncast::gf::set_tier_for_testing(static_cast<ncast::gf::Tier>(tier));
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n) * 2);
+  ~TierPin() { ncast::gf::set_tier_for_testing(restore_); }
+  TierPin(const TierPin&) = delete;
+  TierPin& operator=(const TierPin&) = delete;
+
+ private:
+  ncast::gf::Tier restore_;
+};
+
+/// Next coefficient of the bench's cycling sequence (never 0 or 1, which the
+/// front ends special-case).
+template <typename V>
+V next_coeff(V c) {
+  c = static_cast<V>(c * 3 + 1);
+  return c < 2 ? V{7} : c;
 }
-BENCHMARK(BM_Gf2_16RegionMadd)->Arg(64)->Arg(1024)->Arg(8192);
+
+/// The active tier's kernel, called directly with the coefficient setup the
+/// field front end would do: the product row for GF(2^8), the nibble tables
+/// for GF(2^16).
+void kernel_madd(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
+                 std::size_t n) {
+  ncast::gf::detail::gf256_kernels().madd(
+      dst, src, ncast::gf::detail::gf256_mul_row(c), n);
+}
+
+void kernel_madd(std::uint16_t* dst, const std::uint16_t* src, std::uint16_t c,
+                 std::size_t n) {
+  std::uint16_t nib[4][16];
+  ncast::gf::detail::gf2_16_nibble_tables(c, nib);
+  ncast::gf::detail::gf2_16_kernels().madd(dst, src, nib, n);
+}
+
+/// One region madd per iteration at {symbols, tier}: through the field front
+/// end (`kDirect` false) or straight into the tier's kernel (`kDirect` true).
+template <typename Field, bool kDirect>
+void BM_Madd(benchmark::State& state) {
+  using V = typename Field::value_type;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const TierPin pin(state.range(1));
+  std::vector<V> dst(n), src(n);
+  Rng rng(sizeof(V));
+  for (auto& b : src) b = static_cast<V>(rng.below(Field::order));
+  V c = 7;
+  for (auto _ : state) {
+    if constexpr (kDirect) {
+      kernel_madd(dst.data(), src.data(), c, n);
+    } else {
+      Field::region_madd(dst.data(), src.data(), c, n);
+    }
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+    c = next_coeff(c);
+  }
+  state.SetLabel(ncast::gf::tier_name(ncast::gf::active_tier()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * sizeof(V)));
+}
+
+/// Registers the region-madd families for every tier the CPU supports.
+void register_region_madds() {
+  const std::vector<std::int64_t> short_sizes = {16, 32, 48, 64};
+  std::vector<std::int64_t> tiers;
+  for (int t = 0; t <= static_cast<int>(ncast::gf::best_supported_tier()); ++t) {
+    tiers.push_back(t);
+  }
+  using ncast::gf::Gf2_16;
+  benchmark::RegisterBenchmark("BM_Gf256RegionMadd", BM_Madd<Gf, false>)
+      ->ArgsProduct({{16, 32, 48, 64, 1024, 16384}, tiers});
+  benchmark::RegisterBenchmark("BM_Gf256KernelMadd", BM_Madd<Gf, true>)
+      ->ArgsProduct({short_sizes, tiers});
+  benchmark::RegisterBenchmark("BM_Gf2_16RegionMadd", BM_Madd<Gf2_16, false>)
+      ->ArgsProduct({{16, 32, 48, 64, 1024, 8192}, tiers});
+  benchmark::RegisterBenchmark("BM_Gf2_16KernelMadd", BM_Madd<Gf2_16, true>)
+      ->ArgsProduct({short_sizes, tiers});
+}
 
 std::vector<std::vector<std::uint8_t>> random_source(std::size_t g,
                                                      std::size_t symbols,
@@ -189,6 +246,7 @@ int main(int argc, char** argv) {
   session.param("seed", std::uint64_t{1});
   // Which GF kernel tier these numbers were measured on (see src/gf/dispatch).
   session.param("gf_tier", ncast::gf::tier_name(ncast::gf::active_tier()));
+  register_region_madds();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -59,12 +59,14 @@ class Decoder {
   /// Consumes a packet; returns true iff it was innovative.
   /// Packets from other generations or with wrong shape are rejected
   /// (returns false) rather than throwing, since in a network simulation
-  /// stray packets are data, not programming errors.
+  /// stray packets are data, not programming errors. A complete decoder
+  /// rejects every packet without copying or eliminating it (nothing can be
+  /// innovative at full rank); it still counts it as received and redundant.
   bool absorb(const Packet& p) {
     obs::ScopeTimer timer(reg().absorb_ns);
     ++received_;
     reg().received.inc();
-    if (p.generation != generation_ || p.coeffs.size() != g_ ||
+    if (complete() || p.generation != generation_ || p.coeffs.size() != g_ ||
         p.payload.size() != symbols_) {
       reg().redundant.inc();
       return false;
@@ -91,6 +93,10 @@ class Decoder {
     obs::ScopeTimer timer(reg().absorb_ns);
     ++received_;
     reg().received.inc();
+    if (complete()) {
+      reg().redundant.inc();
+      return false;
+    }
     value_type* r = basis_.scratch_row();
     std::copy(coeffs, coeffs + g_, r);
     std::copy(payload, payload + symbols_, r + g_);
@@ -117,7 +123,7 @@ class Decoder {
 
   /// Would this packet be innovative? (No state change.)
   bool is_innovative(const Packet& p) const {
-    if (p.generation != generation_ || p.coeffs.size() != g_ ||
+    if (complete() || p.generation != generation_ || p.coeffs.size() != g_ ||
         p.payload.size() != symbols_) {
       return false;
     }
@@ -208,6 +214,13 @@ class Decoder {
   const value_type* basis_row(std::size_t i) const {
     if (i >= basis_.rank()) throw std::out_of_range("Decoder::basis_row");
     return basis_.row(i);
+  }
+
+  /// Pivot column of basis row `i` (< generation_size()). On a complete
+  /// decoder the coefficient part of basis_row(i) is exactly e_pivot(i).
+  std::size_t pivot(std::size_t i) const {
+    if (i >= basis_.rank()) throw std::out_of_range("Decoder::pivot");
+    return basis_.pivot(i);
   }
 
   /// Basis row i as a coded packet (allocating; kept for inspection and

@@ -19,7 +19,8 @@
 
 namespace ncast::coding {
 
-/// Recoder for one generation. Absorbing and emitting are both O(g * width).
+/// Recoder for one generation. Absorbing and emitting are both O(g * width);
+/// once the basis is complete, absorbing is O(1) and emitting O(g * symbols).
 template <typename Field>
 class Recoder {
  public:
@@ -72,11 +73,19 @@ class Recoder {
     out.class_id = 0;
     out.coeffs.assign(g, value_type{0});
     out.payload.assign(symbols, value_type{0});
+    // At full rank the basis is the identity up to row order (row i's
+    // coefficient part is e_pivot(i)), so the mixed coefficient vector is the
+    // draw itself, placed at the pivots: only the payload needs madds.
+    const bool full = r == g;
     for (std::size_t i = 0; i < r; ++i) {
       const value_type c = mix_[i];
       if (c == value_type{0}) continue;
       const value_type* row = basis_.basis_row(i);  // [coeffs | payload]
-      Field::region_madd(out.coeffs.data(), row, c, g);
+      if (full) {
+        out.coeffs[basis_.pivot(i)] = c;
+      } else {
+        Field::region_madd(out.coeffs.data(), row, c, g);
+      }
       Field::region_madd(out.payload.data(), row + g, c, symbols);
     }
     return true;

@@ -114,13 +114,10 @@ class StructuredRecoder {
                                        p.class_id)) {
           return false;
         }
-        // The compact strip IS the class-local dense coefficient vector.
-        scratch_.generation = p.generation;
-        scratch_.band_offset = 0;
-        scratch_.class_id = 0;
-        scratch_.coeffs.assign(p.coeffs.begin(), p.coeffs.end());
-        scratch_.payload.assign(p.payload.begin(), p.payload.end());
-        return class_recoders_[p.class_id].absorb(scratch_);
+        // The compact strip IS the class-local dense coefficient vector, and
+        // the class recoder reads neither band_offset nor class_id, so the
+        // packet goes in as it is.
+        return class_recoders_[p.class_id].absorb(p);
       }
     }
     return false;
@@ -163,7 +160,7 @@ class StructuredRecoder {
   std::size_t symbols_;
   std::optional<Recoder<Field>> dense_;      // dense and banded structures
   std::vector<Recoder<Field>> class_recoders_;  // overlapped structures
-  mutable Packet scratch_;                   // reusable routing/scatter packet
+  mutable Packet scratch_;                   // reusable banded scatter packet
   mutable std::vector<std::size_t> nonempty_;  // reusable emit class list
 };
 

@@ -1,5 +1,6 @@
 #include "coding/wire.hpp"
 
+#include <bit>
 #include <cstring>
 
 namespace ncast::coding {
@@ -27,26 +28,42 @@ std::uint32_t get32(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
+// Symbols go on the wire little-endian. One-byte symbols are copied as one
+// range; wider ones are copied whole where the host byte order already is
+// the wire's, and assembled byte by byte otherwise.
 template <typename V>
 void put_symbols(std::vector<std::uint8_t>& out, const std::vector<V>& symbols) {
-  for (V v : symbols) {
-    for (std::size_t i = 0; i < sizeof(V); ++i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  if constexpr (sizeof(V) == 1 || std::endian::native == std::endian::little) {
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(symbols.data());
+    out.insert(out.end(), bytes, bytes + symbols.size() * sizeof(V));
+  } else {
+    for (V v : symbols) {
+      for (std::size_t i = 0; i < sizeof(V); ++i) {
+        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      }
     }
   }
 }
 
 template <typename V>
 std::vector<V> get_symbols(const std::uint8_t* p, std::size_t count) {
-  std::vector<V> out(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    V v{0};
-    for (std::size_t b = 0; b < sizeof(V); ++b) {
-      v = static_cast<V>(v | (static_cast<V>(p[i * sizeof(V) + b]) << (8 * b)));
+  if constexpr (sizeof(V) == 1) {
+    return std::vector<V>(p, p + count);
+  } else if constexpr (std::endian::native == std::endian::little) {
+    std::vector<V> out(count);
+    std::memcpy(out.data(), p, count * sizeof(V));
+    return out;
+  } else {
+    std::vector<V> out(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      V v{0};
+      for (std::size_t b = 0; b < sizeof(V); ++b) {
+        v = static_cast<V>(v | (static_cast<V>(p[i * sizeof(V) + b]) << (8 * b)));
+      }
+      out[i] = v;
     }
-    out[i] = v;
+    return out;
   }
-  return out;
 }
 
 }  // namespace

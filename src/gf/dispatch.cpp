@@ -79,11 +79,25 @@ void gf2_16_add_scalar(std::uint16_t* dst, const std::uint16_t* src,
 
 namespace {
 
+// Dispatch floors (Gf256Kernels::min_len, Gf2_16Kernels::min_len), chosen
+// from bench_codec's BM_*KernelMadd against BM_*RegionMadd at 16..64
+// symbols (table in docs/performance.md):
+//   - GF(2^8) on GFNI: every nonempty row. The kernel's only setup is one
+//     8-byte matrix and it finishes any tail with one masked op.
+//   - GF(2^8) on AVX2/SSSE3: from 32 symbols. The nibble-shuffle setup plus
+//     a scalar tail lose to the plain loop at 16, win from 32.
+//   - GF(2^16) on every tier, and the scalar tier: from 64. Each call first
+//     builds the coefficient's nibble tables (60 products) and, on GFNI,
+//     four bit matrices; the front end's log/exp loop wins below 64.
+constexpr std::size_t kMaskedFloor = 1;
+constexpr std::size_t kShuffleFloor = 32;
+constexpr std::size_t kShortLoopFloor = 64;
+
 detail::Gf256Kernels g_gf256{detail::gf256_madd_scalar, detail::gf256_mul_scalar,
-                             detail::gf256_add_scalar};
+                             detail::gf256_add_scalar, kShortLoopFloor};
 detail::Gf2_16Kernels g_gf2_16{detail::gf2_16_madd_scalar,
                                detail::gf2_16_mul_scalar,
-                               detail::gf2_16_add_scalar};
+                               detail::gf2_16_add_scalar, kShortLoopFloor};
 Tier g_tier = Tier::kScalar;
 
 void install(Tier t) {
@@ -91,29 +105,29 @@ void install(Tier t) {
   switch (t) {
     case Tier::kGfni:
       g_gf256 = {detail::region_madd_gfni, detail::region_mul_gfni,
-                 detail::region_add_gfni};
+                 detail::region_add_gfni, kMaskedFloor};
       g_gf2_16 = {detail::region_madd_gfni_u16, detail::region_mul_gfni_u16,
-                  detail::region_add_gfni_u16};
+                  detail::region_add_gfni_u16, kShortLoopFloor};
       break;
     case Tier::kAvx2:
       g_gf256 = {detail::region_madd_avx2, detail::region_mul_avx2,
-                 detail::region_add_avx2};
+                 detail::region_add_avx2, kShuffleFloor};
       g_gf2_16 = {detail::region_madd_avx2_u16, detail::region_mul_avx2_u16,
-                  detail::region_add_avx2_u16};
+                  detail::region_add_avx2_u16, kShortLoopFloor};
       break;
     case Tier::kSsse3:
       g_gf256 = {detail::region_madd_ssse3, detail::region_mul_ssse3,
-                 detail::region_add_ssse3};
+                 detail::region_add_ssse3, kShuffleFloor};
       // GF(2^16) has no SSSE3 kernel; its nibble-table scalar loop reads only
       // 128 bytes of table per coefficient and stays the best non-AVX2 path.
       g_gf2_16 = {detail::gf2_16_madd_scalar, detail::gf2_16_mul_scalar,
-                  detail::gf2_16_add_scalar};
+                  detail::gf2_16_add_scalar, kShortLoopFloor};
       break;
     case Tier::kScalar:
       g_gf256 = {detail::gf256_madd_scalar, detail::gf256_mul_scalar,
-                 detail::gf256_add_scalar};
+                 detail::gf256_add_scalar, kShortLoopFloor};
       g_gf2_16 = {detail::gf2_16_madd_scalar, detail::gf2_16_mul_scalar,
-                  detail::gf2_16_add_scalar};
+                  detail::gf2_16_add_scalar, kShortLoopFloor};
       break;
   }
 }

@@ -40,21 +40,31 @@ namespace detail {
 // GF(2^8) kernels operate on a caller-provided 256-entry product table
 // (`mul_row[x] == c*x`) so the coefficient-dependent setup is one row of the
 // field's multiplication table, already resident in cache.
+//
+// `min_len` is the tier's dispatch floor: the field front ends hand a region
+// of n symbols to these kernels only when n >= min_len, and run their own
+// short-row loop below it. It is a per-tier constant set with the function
+// pointers (see install() in dispatch.cpp): 1 where the kernel finishes any
+// tail in one masked vector op, higher where a short row would not repay the
+// kernel's per-call setup.
 struct Gf256Kernels {
   void (*madd)(std::uint8_t* dst, const std::uint8_t* src,
                const std::uint8_t* mul_row, std::size_t n);
   void (*mul)(std::uint8_t* dst, const std::uint8_t* mul_row, std::size_t n);
   void (*add)(std::uint8_t* dst, const std::uint8_t* src, std::size_t n);
+  std::size_t min_len;
 };
 
 // GF(2^16) kernels operate on four 16-entry nibble product tables:
 // nib[k][x] == c * (x << 4k), so c*v = nib[0][v&15] ^ nib[1][(v>>4)&15] ^
 // nib[2][(v>>8)&15] ^ nib[3][v>>12]. 128 bytes of setup per coefficient.
+// `min_len` is the tier's dispatch floor, as for Gf256Kernels.
 struct Gf2_16Kernels {
   void (*madd)(std::uint16_t* dst, const std::uint16_t* src,
                const std::uint16_t (*nib)[16], std::size_t n);
   void (*mul)(std::uint16_t* dst, const std::uint16_t (*nib)[16], std::size_t n);
   void (*add)(std::uint16_t* dst, const std::uint16_t* src, std::size_t n);
+  std::size_t min_len;
 };
 
 /// Kernel tables for the active tier. References stay valid forever; the

@@ -40,11 +40,6 @@ const Tables& tables() {
   return t;
 }
 
-/// Buffers below this size skip the dispatched kernels entirely (the
-/// nibble-table setup costs ~a cache line of work); see gf/dispatch.cpp for
-/// the tier decision itself.
-constexpr std::size_t kSimdThreshold = 64;
-
 }  // namespace
 
 Gf256::value_type Gf256::mul(value_type a, value_type b) {
@@ -72,12 +67,25 @@ Gf256::value_type Gf256::pow(value_type a, std::uint32_t e) {
   return t.exp[l];
 }
 
+namespace detail {
+
+const std::uint8_t* gf256_mul_row(std::uint8_t c) {
+  return tables().mul[c].data();
+}
+
+}  // namespace detail
+
 // ncast:hot-begin — region kernels: the innermost loops of every decode,
 // recode, and elimination; allocation- and throw-free by contract.
+//
+// Rows of at least the active tier's min_len symbols go to its kernels
+// (gf/dispatch.cpp): every nonempty row on GFNI, 32 symbols and up on
+// AVX2/SSSE3. Shorter rows run the scalar loops here.
 
 void Gf256::region_add(value_type* dst, const value_type* src, std::size_t n) {
-  if (n >= kSimdThreshold) {
-    detail::gf256_kernels().add(dst, src, n);
+  const auto& k = detail::gf256_kernels();
+  if (n >= k.min_len) {
+    k.add(dst, src, n);
     return;
   }
   detail::gf256_add_scalar(dst, src, n);
@@ -91,8 +99,9 @@ void Gf256::region_madd(value_type* dst, const value_type* src, value_type c,
     return;
   }
   const auto& row = tables().mul[c];
-  if (n >= kSimdThreshold) {
-    detail::gf256_kernels().madd(dst, src, row.data(), n);
+  const auto& k = detail::gf256_kernels();
+  if (n >= k.min_len) {
+    k.madd(dst, src, row.data(), n);
     return;
   }
   detail::gf256_madd_scalar(dst, src, row.data(), n);
@@ -105,8 +114,9 @@ void Gf256::region_mul(value_type* dst, value_type c, std::size_t n) {
     return;
   }
   const auto& row = tables().mul[c];
-  if (n >= kSimdThreshold) {
-    detail::gf256_kernels().mul(dst, row.data(), n);
+  const auto& k = detail::gf256_kernels();
+  if (n >= k.min_len) {
+    k.mul(dst, row.data(), n);
     return;
   }
   detail::gf256_mul_scalar(dst, row.data(), n);

@@ -38,4 +38,13 @@ struct Gf256 {
   static void region_mul(value_type* dst, value_type c, std::size_t n);
 };
 
+namespace detail {
+
+/// Row `c` of the product table (row[x] == c * x): the `mul_row` argument
+/// the Gf256Kernels expect (gf/dispatch.hpp). For benches and kernel tests
+/// that call a tier's kernels directly.
+const std::uint8_t* gf256_mul_row(std::uint8_t c);
+
+}  // namespace detail
+
 }  // namespace ncast::gf

@@ -34,14 +34,11 @@ const Tables& tables() {
   return t;
 }
 
-/// Regions below this many symbols stay on the direct log/exp loop: the
-/// dispatched kernels amortize a 64-product nibble-table build (128 bytes of
-/// tables, see gf/dispatch.hpp) that only pays off on longer rows.
-constexpr std::size_t kKernelThreshold = 64;
+}  // namespace
 
-/// nib[k][x] = c * (x << 4k), the coefficient-specific tables the region
-/// kernels consume.
-void build_nibble_tables(std::uint16_t c, std::uint16_t (*nib)[16]) {
+namespace detail {
+
+void gf2_16_nibble_tables(std::uint16_t c, std::uint16_t (*nib)[16]) {
   const auto& t = tables();
   const std::uint32_t lc = t.log[c];  // c != 0 checked by callers
   nib[0][0] = nib[1][0] = nib[2][0] = nib[3][0] = 0;
@@ -53,7 +50,7 @@ void build_nibble_tables(std::uint16_t c, std::uint16_t (*nib)[16]) {
   }
 }
 
-}  // namespace
+}  // namespace detail
 
 Gf2_16::value_type Gf2_16::mul(value_type a, value_type b) {
   if (a == 0 || b == 0) return 0;
@@ -84,10 +81,16 @@ Gf2_16::value_type Gf2_16::pow(value_type a, std::uint32_t e) {
 }
 
 // ncast:hot-begin — region kernels: allocation- and throw-free by contract.
+//
+// Rows of at least the active tier's min_len symbols go to its kernels
+// (gf/dispatch.cpp), which first need the coefficient's nibble tables
+// (60 products, 128 bytes). Shorter rows stay on the direct log/exp loops
+// here.
 
 void Gf2_16::region_add(value_type* dst, const value_type* src, std::size_t n) {
-  if (n >= kKernelThreshold) {
-    detail::gf2_16_kernels().add(dst, src, n);
+  const auto& k = detail::gf2_16_kernels();
+  if (n >= k.min_len) {
+    k.add(dst, src, n);
     return;
   }
   detail::gf2_16_add_scalar(dst, src, n);
@@ -100,10 +103,11 @@ void Gf2_16::region_madd(value_type* dst, const value_type* src, value_type c,
     region_add(dst, src, n);
     return;
   }
-  if (n >= kKernelThreshold) {
+  const auto& k = detail::gf2_16_kernels();
+  if (n >= k.min_len) {
     std::uint16_t nib[4][16];
-    build_nibble_tables(c, nib);
-    detail::gf2_16_kernels().madd(dst, src, nib, n);
+    detail::gf2_16_nibble_tables(c, nib);
+    k.madd(dst, src, nib, n);
     return;
   }
   const auto& t = tables();
@@ -119,10 +123,11 @@ void Gf2_16::region_mul(value_type* dst, value_type c, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) dst[i] = 0;
     return;
   }
-  if (n >= kKernelThreshold) {
+  const auto& k = detail::gf2_16_kernels();
+  if (n >= k.min_len) {
     std::uint16_t nib[4][16];
-    build_nibble_tables(c, nib);
-    detail::gf2_16_kernels().mul(dst, nib, n);
+    detail::gf2_16_nibble_tables(c, nib);
+    k.mul(dst, nib, n);
     return;
   }
   const auto& t = tables();

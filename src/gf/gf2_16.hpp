@@ -28,4 +28,13 @@ struct Gf2_16 {
   static void region_mul(value_type* dst, value_type c, std::size_t n);
 };
 
+namespace detail {
+
+/// nib[k][x] = c * (x << 4k) for c != 0: the coefficient tables the
+/// Gf2_16Kernels expect (gf/dispatch.hpp). For benches and kernel tests that
+/// call a tier's kernels directly.
+void gf2_16_nibble_tables(std::uint16_t c, std::uint16_t (*nib)[16]);
+
+}  // namespace detail
+
 }  // namespace ncast::gf

@@ -42,18 +42,23 @@ std::uint8_t mul8(unsigned a, unsigned b) {
 
 /// Packs 8 basis images (im[k] = c * 2^k, one bit plane each) into an affine
 /// matrix qword; `shift` selects which 8 output bits (0 for bits 0..7, 8 for
-/// bits 8..15 of wider images).
+/// bits 8..15 of wider images). Matrix byte j, bit k is bit 7-j of image
+/// byte k: gather the image bytes into one word (byte k = image k), transpose
+/// it as an 8x8 bit matrix (three delta swaps, Hacker's Delight 7-3), then
+/// reverse the byte order. The GF(2^16) kernels build four of these per call.
 template <typename T>
 std::uint64_t pack_matrix(const T* im, unsigned shift) {
-  std::uint64_t m = 0;
-  for (unsigned j = 0; j < 8; ++j) {
-    std::uint64_t row = 0;
-    for (unsigned k = 0; k < 8; ++k) {
-      row |= ((static_cast<std::uint64_t>(im[k]) >> (shift + 7 - j)) & 1u) << k;
-    }
-    m |= row << (8 * j);
+  std::uint64_t x = 0;
+  for (unsigned k = 0; k < 8; ++k) {
+    x |= ((static_cast<std::uint64_t>(im[k]) >> shift) & 0xFFu) << (8 * k);
   }
-  return m;
+  std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+  x ^= t ^ (t << 28);
+  return __builtin_bswap64(x);
 }
 
 /// The affine matrix for multiplication by each GF(2^8) constant, built once.

@@ -97,9 +97,11 @@ class BandBasis {
   /// columns [offset, offset + width) and payload `payload[0..payload_cols)`.
   /// Requires width <= band and offset + width <= cols (the decoder validates
   /// packets against the structure before calling). Returns true iff the row
-  /// was innovative (and was adopted).
+  /// was innovative (and was adopted). A complete basis rejects at once,
+  /// before the copy-in.
   bool absorb(std::size_t offset, const value_type* coeffs, std::size_t width,
               const value_type* payload) {
+    if (complete()) return false;
     // Scratch coefficient row is all-zero outside [offset, end) by the
     // zero-on-exit discipline below, so a plain copy-in suffices.
     value_type* sc = scratch_coeffs_;

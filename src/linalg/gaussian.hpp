@@ -125,11 +125,12 @@ class IncrementalRank {
   bool complete() const { return rank() == dimension(); }
 
   /// Reduces `row` against the stored basis; if a remainder survives, stores
-  /// it (normalized) and returns true.
+  /// it (normalized) and returns true. A complete space rejects at once.
   bool absorb(const std::vector<value_type>& row) {
     if (row.size() != dimension()) {
       throw std::invalid_argument("IncrementalRank::absorb: arity");
     }
+    if (complete()) return false;
     std::copy(row.begin(), row.end(), basis_.scratch_row());
     return basis_.absorb();
   }

@@ -114,8 +114,10 @@ class ReducedBasis {
   /// the pivot columns, normalizes it, back-substitutes into the stored rows,
   /// and adopts it as basis row rank() (in place — the scratch row IS the
   /// arena slot). Returns whether the row was innovative. Performs no heap
-  /// allocation.
+  /// allocation. At full rank (every pivot column taken) no row can be
+  /// innovative, so it returns false without touching the scratch row.
   bool absorb() {
+    if (pivots_.size() == pivot_cols_) return false;
     value_type* r = scratch_row();
     reduce(r);
     std::size_t p = 0;

@@ -245,6 +245,61 @@ TEST(CodecAllocFree, StructuredRecoderSteadyState) {
   EXPECT_EQ(delta, 0u);
 }
 
+// The full-rank paths: a complete decoder rejects every packet before any
+// copy or elimination (through absorb() and absorb_row(), dense and
+// per-class), and a complete recoder writes its coefficients at the pivots.
+// All of it runs without touching the heap, in both fields.
+template <typename Field>
+void run_full_rank_alloc_free(std::uint64_t seed) {
+  const std::size_t g = 16, symbols = 48;
+  Rng rng(seed);
+  const auto source = random_source<Field>(g, symbols, rng);
+  const coding::SourceEncoder<Field> enc(0, source);
+  coding::Decoder<Field> dec(0, g, symbols);
+  coding::Recoder<Field> rec(0, g, symbols);
+  while (!dec.complete()) dec.absorb(enc.emit(rng));
+  while (!rec.complete()) rec.absorb(enc.emit(rng));
+  std::vector<coding::CodedPacket<Field>> packets;
+  for (int i = 0; i < 50; ++i) packets.push_back(enc.emit(rng));
+
+  const auto over = coding::GenerationStructure::overlapping(g, 8, 2);
+  const coding::SourceEncoder<Field> oenc(
+      0, over, random_flat<Field>(g * symbols, rng), symbols);
+  coding::OverlapDecoder<Field> odec(0, over, symbols);
+  std::vector<coding::CodedPacket<Field>> strips;
+  while (!odec.complete()) {
+    ASSERT_LT(strips.size(), 50 * g);
+    strips.push_back(oenc.emit(rng));
+    odec.absorb(strips.back());
+  }
+  coding::CodedPacket<Field> out;
+  ASSERT_TRUE(rec.emit_into(out, rng));  // warm-up sizes the packet
+
+  const std::uint64_t before = g_news.load();
+  bool accepted = false;
+  bool emitted = true;
+  for (const auto& p : packets) {
+    accepted = dec.absorb(p) || accepted;
+    accepted = dec.absorb_row(p.coeffs.data(), p.payload.data()) || accepted;
+    accepted = rec.absorb(p) || accepted;
+    emitted = rec.emit_into(out, rng) && emitted;
+  }
+  for (const auto& p : strips) accepted = odec.absorb(p) || accepted;
+  const std::uint64_t delta = g_news.load() - before;
+
+  EXPECT_FALSE(accepted);
+  EXPECT_TRUE(emitted);
+  EXPECT_EQ(delta, 0u);
+}
+
+TEST(CodecAllocFree, FullRankRejectAndEmitGf256) {
+  run_full_rank_alloc_free<gf::Gf256>(39);
+}
+
+TEST(CodecAllocFree, FullRankRejectAndEmitGf2_16) {
+  run_full_rank_alloc_free<gf::Gf2_16>(40);
+}
+
 // A rank-0 recoder declines without touching the heap either.
 TEST(CodecAllocFree, EmptyRecoderEmitIntoIsFreeAndSilent) {
   using Field = gf::Gf256;

@@ -1,8 +1,10 @@
 // SIMD/scalar parity for the GF region kernels. Every region operation, for
 // both fields, at every size in 0..67 plus 1023/1024/1025 (straddling the
-// vector main-loop boundaries and the dispatch threshold), must agree exactly
+// vector main-loop boundaries and the dispatch floor), must agree exactly
 // with a per-element reference computed from the field's scalar mul/add —
-// under every instruction-set tier the running CPU supports. A randomized
+// under every instruction-set tier the running CPU supports, both through
+// the field front ends and through each tier's kernel table called directly
+// on unaligned regions. A randomized
 // decode round-trip then cross-checks that a generation decoded under a
 // vector tier and under forced scalar produce identical source data.
 //
@@ -13,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "coding/decoder.hpp"
@@ -115,6 +118,118 @@ void run_parity(std::uint64_t seed) {
 TEST(GfKernelParity, Gf256AllTiersAllSizes) { run_parity<gf::Gf256>(101); }
 
 TEST(GfKernelParity, Gf2_16AllTiersAllSizes) { run_parity<gf::Gf2_16>(202); }
+
+// The front ends above send a row to the tier's kernels only from the tier's
+// min_len up, so on a tier with a floor of 64 they never hand a kernel a
+// short row. The checks below call each tier's kernel table directly, at
+// every size, so every tail is covered whatever the floor is. The regions
+// start `kSkew` symbols past an allocation, like the payload half of an
+// arena row (row + g), so no vector load or store is aligned.
+constexpr std::size_t kSkew = 3;
+
+/// The kernels' coefficient argument, built from Field::mul and so
+/// independent of the front ends' tables: the product row for GF(2^8), the
+/// four nibble tables for GF(2^16).
+void coeff_tables(std::uint8_t c, std::uint8_t (&row)[256]) {
+  for (unsigned x = 0; x < 256; ++x) {
+    row[x] = gf::Gf256::mul(c, static_cast<std::uint8_t>(x));
+  }
+}
+
+void coeff_tables(std::uint16_t c, std::uint16_t (&nib)[4][16]) {
+  for (unsigned j = 0; j < 4; ++j) {
+    for (unsigned x = 0; x < 16; ++x) {
+      nib[j][x] = gf::Gf2_16::mul(c, static_cast<std::uint16_t>(x << (4 * j)));
+    }
+  }
+}
+
+template <typename Field>
+using CoeffTables = std::conditional_t<sizeof(typename Field::value_type) == 1,
+                                       std::uint8_t[256], std::uint16_t[4][16]>;
+
+/// Runs the three kernels of `k` at size n with coefficient c (c != 0) on
+/// unaligned regions and compares against the per-element reference.
+template <typename Field, typename Kernels>
+void check_kernels(const Kernels& k, std::size_t n,
+                   typename Field::value_type c, Rng& rng) {
+  CoeffTables<Field> table;
+  coeff_tables(c, table);
+  const auto src_buf = random_region<Field>(n + kSkew, rng);
+  const auto base_buf = random_region<Field>(n + kSkew, rng);
+  const auto* src = src_buf.data() + kSkew;
+
+  auto got = base_buf;
+  k.madd(got.data() + kSkew, src, table, n);
+  auto want = base_buf;
+  for (std::size_t i = 0; i < n; ++i) {
+    want[kSkew + i] = Field::add(want[kSkew + i], Field::mul(c, src[i]));
+  }
+  ASSERT_EQ(got, want) << "madd n=" << n << " c=" << +c;
+
+  got = base_buf;
+  k.mul(got.data() + kSkew, table, n);
+  want = base_buf;
+  for (std::size_t i = 0; i < n; ++i) {
+    want[kSkew + i] = Field::mul(c, want[kSkew + i]);
+  }
+  ASSERT_EQ(got, want) << "mul n=" << n << " c=" << +c;
+
+  got = base_buf;
+  k.add(got.data() + kSkew, src, n);
+  want = base_buf;
+  for (std::size_t i = 0; i < n; ++i) {
+    want[kSkew + i] = Field::add(want[kSkew + i], src[i]);
+  }
+  ASSERT_EQ(got, want) << "add n=" << n;
+}
+
+template <typename Field, typename Kernels>
+void run_kernel_direct_parity(const Kernels& (*kernels)(), std::uint64_t seed) {
+  using V = typename Field::value_type;
+  TierGuard guard;
+  for (const gf::Tier tier : supported_tiers()) {
+    gf::set_tier_for_testing(tier);
+    ASSERT_EQ(gf::active_tier(), tier);
+    const Kernels& k = kernels();
+    Rng rng(seed);
+    for (const std::size_t n : kSizes) {
+      SCOPED_TRACE(::testing::Message() << "tier=" << gf::tier_name(tier));
+      check_kernels<Field>(k, n, V{1}, rng);
+      check_kernels<Field>(k, n, static_cast<V>(Field::order - 1), rng);
+      for (int r = 0; r < 3; ++r) {
+        check_kernels<Field>(
+            k, n, static_cast<V>(1 + rng.below(Field::order - 1)), rng);
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(GfKernelParity, Gf256KernelsDirectAllTiersUnaligned) {
+  run_kernel_direct_parity<gf::Gf256>(&gf::detail::gf256_kernels, 303);
+}
+
+TEST(GfKernelParity, Gf2_16KernelsDirectAllTiersUnaligned) {
+  run_kernel_direct_parity<gf::Gf2_16>(&gf::detail::gf2_16_kernels, 404);
+}
+
+/// The dispatch floor is a per-tier constant (see gf/dispatch.cpp): GF(2^8)
+/// rows of any length go to GFNI, from 32 symbols to the shuffle tiers;
+/// GF(2^16) rows go to every tier's kernels from 64 symbols.
+TEST(GfKernelParity, DispatchFloorPerTier) {
+  TierGuard guard;
+  for (const gf::Tier tier : supported_tiers()) {
+    gf::set_tier_for_testing(tier);
+    std::size_t want = 64;
+    if (tier == gf::Tier::kGfni) want = 1;
+    if (tier == gf::Tier::kAvx2 || tier == gf::Tier::kSsse3) want = 32;
+    EXPECT_EQ(gf::detail::gf256_kernels().min_len, want)
+        << "tier=" << gf::tier_name(tier);
+    EXPECT_EQ(gf::detail::gf2_16_kernels().min_len, 64u)
+        << "tier=" << gf::tier_name(tier);
+  }
+}
 
 TEST(GfKernelParity, TierNamesAndForcedOrder) {
   EXPECT_STREQ(gf::tier_name(gf::Tier::kScalar), "scalar");

@@ -9,9 +9,12 @@
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
 #include "coding/recoder.hpp"
+#include "coding/structure.hpp"
+#include "coding/structured_recoder.hpp"
 #include "gf/gf2.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gf2_16.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace ncast {
@@ -381,6 +384,221 @@ TEST(EncoderEmitInto, MatchesEmitAndReusesBuffers) {
   const auto* buf = via_into.payload.data();
   enc.emit_into(via_into, b);
   EXPECT_EQ(via_into.payload.data(), buf);
+}
+
+// ---- full rank: no elimination on reject, pivot-placed recoding -----------
+
+/// A random combination of `source` rows [first, source.size()) as a packet
+/// (coefficients below `first` are zero).
+template <typename Field>
+coding::CodedPacket<Field> combine(
+    const std::vector<std::vector<typename Field::value_type>>& source,
+    Rng& rng, std::size_t first = 0) {
+  using V = typename Field::value_type;
+  coding::CodedPacket<Field> p;
+  p.coeffs.assign(source.size(), V{0});
+  p.payload.assign(source.front().size(), V{0});
+  for (std::size_t j = first; j < source.size(); ++j) {
+    p.coeffs[j] = static_cast<V>(rng.below(Field::order));
+    for (std::size_t i = 0; i < p.payload.size(); ++i) {
+      p.payload[i] = Field::add(p.payload[i], Field::mul(p.coeffs[j], source[j][i]));
+    }
+  }
+  return p;
+}
+
+struct DecoderCounts {
+  std::uint64_t received, innovative, redundant, absorb_timed;
+  static DecoderCounts now() {
+    auto& m = obs::metrics();
+    return {m.counter("decoder.packets_received").value(),
+            m.counter("decoder.packets_innovative").value(),
+            m.counter("decoder.packets_redundant").value(),
+            m.histogram("decoder.absorb_ns").count()};
+  }
+};
+
+/// A complete decoder rejects every further packet (fresh, duplicate,
+/// malformed; through absorb() and absorb_row()) and counts each one exactly
+/// as a rejected packet always was: received and redundant, per instance and
+/// in the decoder.* metrics, with one absorb_ns sample. Its decoded source
+/// does not move.
+template <typename Field>
+void run_full_rank_reject(std::size_t g, std::size_t symbols, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto source = random_source<Field>(g, symbols, rng);
+  coding::Decoder<Field> dec(0, g, symbols);
+  std::vector<coding::CodedPacket<Field>> seen;
+  while (!dec.complete()) {
+    seen.push_back(combine<Field>(source, rng));
+    dec.absorb(seen.back());
+  }
+  const auto decoded = dec.source_packets();
+  ASSERT_EQ(decoded, source);
+
+  const DecoderCounts before = DecoderCounts::now();
+  const std::uint64_t received = dec.packets_received();
+  const std::uint64_t innovative = dec.packets_innovative();
+  std::uint64_t offered = 0;
+  for (int i = 0; i < 20; ++i) {
+    const auto p = combine<Field>(source, rng);
+    EXPECT_FALSE(dec.is_innovative(p));
+    EXPECT_FALSE(dec.absorb(p));
+    EXPECT_FALSE(dec.absorb_row(p.coeffs.data(), p.payload.data()));
+    offered += 2;
+  }
+  for (const auto& p : seen) {
+    EXPECT_FALSE(dec.absorb(p));
+    ++offered;
+  }
+  auto malformed = seen.front();
+  malformed.generation = 7;
+  EXPECT_FALSE(dec.absorb(malformed));
+  ++offered;
+  const DecoderCounts after = DecoderCounts::now();
+
+  EXPECT_EQ(dec.rank(), g);
+  EXPECT_EQ(dec.packets_received(), received + offered);
+  EXPECT_EQ(dec.packets_innovative(), innovative);
+  EXPECT_EQ(dec.packets_redundant(), dec.packets_received() - innovative);
+  const std::uint64_t on = NCAST_OBS_ENABLED ? offered : 0;
+  EXPECT_EQ(after.received - before.received, on);
+  EXPECT_EQ(after.innovative - before.innovative, 0u);
+  EXPECT_EQ(after.redundant - before.redundant, on);
+  EXPECT_EQ(after.absorb_timed - before.absorb_timed, on);
+  EXPECT_EQ(dec.source_packets(), decoded);
+}
+
+TEST(FullRank, DecoderRejectsWithSameCountsGf256) {
+  run_full_rank_reject<Gf>(16, 24, 41);
+}
+
+TEST(FullRank, DecoderRejectsWithSameCountsGf2_16) {
+  run_full_rank_reject<gf::Gf2_16>(8, 12, 42);
+}
+
+/// What Recoder::emit_into must produce, computed the long way: draw the
+/// mixing coefficients exactly as the recoder does (uniform per basis row;
+/// an all-zero draw forces one random row to a random nonzero value), then
+/// add up coefficient times basis row over the whole [coeffs | payload] row
+/// with the field's scalar arithmetic.
+template <typename Field>
+coding::CodedPacket<Field> general_combination(const coding::Decoder<Field>& basis,
+                                               Rng& rng) {
+  using V = typename Field::value_type;
+  const std::size_t r = basis.rank();
+  const std::size_t g = basis.generation_size();
+  const std::size_t symbols = basis.symbols();
+  std::vector<V> mix(r);
+  bool nonzero = false;
+  for (auto& m : mix) {
+    m = static_cast<V>(rng.below(Field::order));
+    nonzero = nonzero || m != V{0};
+  }
+  if (!nonzero) mix[rng.below(r)] = static_cast<V>(1 + rng.below(Field::order - 1));
+  coding::CodedPacket<Field> want;
+  want.generation = basis.generation();
+  want.coeffs.assign(g, V{0});
+  want.payload.assign(symbols, V{0});
+  for (std::size_t i = 0; i < r; ++i) {
+    const V* row = basis.basis_row(i);
+    for (std::size_t j = 0; j < g; ++j) {
+      want.coeffs[j] = Field::add(want.coeffs[j], Field::mul(mix[i], row[j]));
+    }
+    for (std::size_t j = 0; j < symbols; ++j) {
+      want.payload[j] =
+          Field::add(want.payload[j], Field::mul(mix[i], row[g + j]));
+    }
+  }
+  return want;
+}
+
+/// emit_into equals the general combination byte for byte, for the same Rng
+/// state, at rank g (pivot-placed coefficients) and at rank g - 1 (the
+/// general path, whose basis coefficient rows are not unit vectors). The
+/// first rows absorbed mix only trailing source packets, so basis row i
+/// does not pivot on column i.
+template <typename Field>
+void run_full_rank_emit(std::size_t g, std::size_t symbols, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto source = random_source<Field>(g, symbols, rng);
+  coding::Recoder<Field> rec(0, g, symbols);
+  for (const std::size_t first : {g - 1, g / 2}) {
+    const std::size_t before = rec.rank();
+    while (rec.rank() == before) rec.absorb(combine<Field>(source, rng, first));
+  }
+  ASSERT_EQ(rec.decoder().pivot(0), g - 1);
+  ASSERT_EQ(rec.decoder().pivot(1), g / 2);
+  coding::CodedPacket<Field> out;
+  for (const std::size_t target : {g - 1, g}) {
+    while (rec.rank() < target) rec.absorb(combine<Field>(source, rng));
+    ASSERT_EQ(rec.rank(), target);
+    for (int i = 0; i < 40; ++i) {
+      Rng want_rng = rng;
+      const auto want = general_combination(rec.decoder(), want_rng);
+      ASSERT_TRUE(rec.emit_into(out, rng));
+      ASSERT_EQ(out.coeffs, want.coeffs) << "rank " << target << " emit " << i;
+      ASSERT_EQ(out.payload, want.payload) << "rank " << target << " emit " << i;
+      ASSERT_EQ(rng(), want_rng()) << "the draws must match one for one";
+    }
+  }
+  // A full-rank recoder's coefficient vector is the draw placed at the pivots.
+  coding::Decoder<Field> check(0, g, symbols);
+  while (!check.complete()) {
+    ASSERT_TRUE(rec.emit_into(out, rng));
+    check.absorb(out);
+  }
+  EXPECT_EQ(check.source_packets(), source);
+}
+
+TEST(FullRank, RecoderEmitMatchesGeneralCombinationGf256) {
+  run_full_rank_emit<Gf>(12, 20, 43);
+}
+
+TEST(FullRank, RecoderEmitMatchesGeneralCombinationGf2_16) {
+  run_full_rank_emit<gf::Gf2_16>(6, 10, 44);
+}
+
+/// The same for one class of an overlapped StructuredRecoder: its class
+/// recoder at full class rank emits the general combination of the class
+/// basis, carried as a class strip. The reference basis is a dense Decoder
+/// of the class width fed the same class packets in the same order.
+TEST(FullRank, OverlappedClassRecoderEmitMatchesGeneralCombination) {
+  const auto s = coding::GenerationStructure::overlapping(12, 4, 1);
+  const std::size_t symbols = 16;
+  const std::size_t cls = 1;
+  const std::size_t begin = s.class_begin(cls);
+  const std::size_t width = s.class_width(cls);
+  Rng rng(45);
+  const auto all = random_source<Gf>(s.g, symbols, rng);
+  const std::vector<std::vector<Gf::value_type>> members(
+      all.begin() + static_cast<std::ptrdiff_t>(begin),
+      all.begin() + static_cast<std::ptrdiff_t>(begin + width));
+
+  coding::StructuredRecoder<Gf> rec(0, s, symbols);
+  coding::Decoder<Gf> reference(0, width, symbols);
+  coding::CodedPacket<Gf> out;
+  for (const std::size_t target : {width - 1, width}) {
+    while (reference.rank() < target) {
+      // The first row mixes only the class's last member: pivots out of
+      // arrival order.
+      auto p = combine<Gf>(members, rng, reference.rank() == 0 ? width - 1 : 0);
+      const bool innovative = reference.absorb(p);
+      p.band_offset = static_cast<std::uint16_t>(begin);
+      p.class_id = static_cast<std::uint16_t>(cls);
+      ASSERT_EQ(rec.absorb(p), innovative);
+    }
+    for (int i = 0; i < 40; ++i) {
+      Rng want_rng = rng;
+      const auto want = general_combination(reference, want_rng);
+      ASSERT_TRUE(rec.emit_into(out, rng));
+      EXPECT_EQ(out.class_id, cls);
+      EXPECT_EQ(out.band_offset, begin);
+      ASSERT_EQ(out.coeffs, want.coeffs) << "rank " << target << " emit " << i;
+      ASSERT_EQ(out.payload, want.payload) << "rank " << target << " emit " << i;
+      ASSERT_EQ(rng(), want_rng());
+    }
+  }
 }
 
 TEST(Gf2_16Codec, RoundTrip) {

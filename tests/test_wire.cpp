@@ -74,6 +74,28 @@ TEST(Wire, HeaderLayoutIsStable) {
   EXPECT_EQ(bytes[14], 7);
 }
 
+// GF(2^16) symbols travel little-endian, low byte first. A round trip
+// cannot catch a byte order flipped on both sides, so pin the bytes.
+TEST(Wire, Gf2_16ByteLayoutIsStable) {
+  CodedPacket<gf::Gf2_16> p;
+  p.generation = 0x01020304;
+  p.coeffs = {0x0A0B, 0x0102};
+  p.payload = {0xBEEF};
+  const auto bytes = coding::serialize(p);
+  const std::vector<std::uint8_t> want = {
+      0x43, 0x4E, 1, 2,        // magic, version 1, GF(2^16)
+      0x04, 0x03, 0x02, 0x01,  // generation LE
+      2,    0,                 // g
+      1,    0,                 // symbols
+      0x0B, 0x0A, 0x02, 0x01,  // coefficients, each low byte first
+      0xEF, 0xBE};             // payload
+  EXPECT_EQ(bytes, want);
+  const auto q = coding::deserialize<gf::Gf2_16>(want);
+  ASSERT_TRUE(q.has_value());
+  EXPECT_EQ(q->coeffs, p.coeffs);
+  EXPECT_EQ(q->payload, p.payload);
+}
+
 TEST(Wire, RejectsMalformedBuffers) {
   Rng rng(3);
   const auto p = random_packet<gf::Gf256>(4, 8, rng);
@@ -234,6 +256,32 @@ TEST(WireV2, HeaderLayoutIsStable) {
   EXPECT_EQ(bytes[20], 9);  // compact strip
   EXPECT_EQ(bytes[21], 8);
   EXPECT_EQ(bytes[22], 7);  // payload
+}
+
+TEST(WireV2, Gf2_16ByteLayoutIsStable) {
+  CodedPacket<gf::Gf2_16> p;
+  p.generation = 0x01020304;
+  p.band_offset = 1;
+  p.class_id = 0;
+  p.coeffs = {0x0A0B, 0x0102};
+  p.payload = {0xBEEF, 0x00FF};
+  const auto s = GenerationStructure::banded(4, 2);
+  const auto bytes = coding::serialize_structured(p, s);
+  const std::vector<std::uint8_t> want = {
+      0x43, 0x4E, 2, 2,        // magic, version 2, GF(2^16)
+      0x04, 0x03, 0x02, 0x01,  // generation LE
+      4,    0,                 // g
+      2,    0,                 // symbols
+      1,    0,                 // kind = banded, flags: no wrap
+      1,    0,                 // band offset LE
+      0,    0,                 // class id LE
+      2,    0,                 // coefficient count LE
+      0x0B, 0x0A, 0x02, 0x01,  // compact strip, each low byte first
+      0xEF, 0xBE, 0xFF, 0x00};  // payload
+  EXPECT_EQ(bytes, want);
+  const auto q = coding::deserialize<gf::Gf2_16>(want, s);
+  ASSERT_TRUE(q.has_value());
+  expect_same_packet(*q, p);
 }
 
 TEST(WireV2, WrapFlagRoundTrip) {
