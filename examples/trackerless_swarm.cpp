@@ -5,13 +5,18 @@
 // The source is just a peer that happens to hold the content. Everyone else
 // starts knowing exactly one other peer, finds upload slots by gossip,
 // repairs silent feeds locally, and keeps serving after the source leaves
-// (the self-sustaining download of the Section 6/7 open issue).
+// (the self-sustaining download of the Section 6/7 open issue). Links are
+// lossless with a fixed latency of one time unit.
+//
+// Exits nonzero if a live peer fails to decode or decodes the wrong bytes.
 
 #include <cstdio>
 #include <memory>
 #include <vector>
 
-#include "node/driver.hpp"
+#include "node/gossip_peer.hpp"
+#include "node/sharded_transport.hpp"
+#include "sim/sharded_engine.hpp"
 #include "util/rng.hpp"
 
 using namespace ncast;
@@ -30,53 +35,67 @@ int main() {
   GossipPeerConfig source_cfg = cfg;
   source_cfg.upload_slots = 6;
 
+  // Every peer runs on its own lane of the event kernel (address a on lane
+  // a); one shard run inline is the sequential case.
+  constexpr Address kLatecomer = 99;
+  sim::ShardedEngine engine(/*shards=*/1, /*workers=*/0, /*epoch=*/1.0);
+  ShardedTransport net(engine, TransportSpec{}, /*seed=*/1, kLatecomer + 1);
+
   GossipPeer source(1, source_cfg, content, /*generation_size=*/16,
                     /*symbols=*/512);
+  source.start(engine.lane(1), net);
   std::vector<std::unique_ptr<GossipPeer>> peers;
-  std::vector<GossipPeer*> ptrs{&source};
   for (Address a = 2; a <= 41; ++a) {
     // Daisy-chained introductions: peer a only knows peer a-1.
     peers.push_back(std::make_unique<GossipPeer>(a, cfg, a - 1));
-    ptrs.push_back(peers.back().get());
+    peers.back()->start(engine.lane(a), net);
   }
-  GossipDriver driver(ptrs);
+  const auto all_decoded = [&peers] {
+    for (const auto& p : peers) {
+      if (!p->decoded()) return false;
+    }
+    return true;
+  };
 
   std::printf("40 peers, each introduced to exactly one other peer;\n"
               "the source (peer 1) offers 6 upload slots and knows nobody.\n\n");
 
   for (int checkpoint = 1; checkpoint <= 4; ++checkpoint) {
-    driver.run(15);
+    engine.run_until(15.0 * checkpoint);
     std::size_t wired = 0, decoded = 0;
     for (auto& p : peers) {
       if (p->parent_count() > 0) ++wired;
       if (p->decoded()) ++decoded;
     }
-    std::printf("tick %3llu: %2zu/40 wired, %2zu/40 decoded, source serving %zu\n",
-                static_cast<unsigned long long>(driver.now()), wired, decoded,
-                source.child_count());
+    std::printf("t=%4.0f: %2zu/40 wired, %2zu/40 decoded, source serving %zu\n",
+                engine.now(), wired, decoded, source.child_count());
   }
 
-  const bool all = driver.run_until_decoded(3000);
-  std::printf("tick %3llu: %s\n", static_cast<unsigned long long>(driver.now()),
+  while (!all_decoded() && engine.now() < 3000.0) {
+    engine.run_until(engine.now() + 1.0);
+  }
+  const bool all = all_decoded();
+  std::printf("t=%4.0f: %s\n", engine.now(),
               all ? "everyone decoded" : "TIMEOUT");
 
   // The source retires; a latecomer must still be able to download —
   // the swarm collectively holds the content now.
   std::printf("\nsource leaves; peer 99 joins knowing only peer 17...\n");
-  source.leave(driver.network());
-  auto late = std::make_unique<GossipPeer>(99, cfg, 17);
-  driver.add_peer(late.get());
-  driver.run(600);
+  source.leave(net);
+  GossipPeer late(kLatecomer, cfg, 17);
+  late.start(engine.lane(kLatecomer), net);
+  engine.run_until(engine.now() + 600.0);
   std::printf("latecomer: %s (%zu parents, rank %zu)\n",
-              late->decoded() ? "downloaded the full content from the swarm"
-                              : "did not finish",
-              late->parent_count(), late->rank());
-  if (late->decoded()) {
-    std::printf("payload check: %s\n",
-                late->data() == content ? "bit-for-bit identical" : "CORRUPT");
+              late.decoded() ? "downloaded the full content from the swarm"
+                             : "did not finish",
+              late.parent_count(), late.rank());
+  bool intact = true;
+  for (const auto& p : peers) intact &= !p->decoded() || p->data() == content;
+  if (late.decoded()) {
+    intact &= late.data() == content;
+    std::printf("payload check: %s\n", intact ? "bit-for-bit identical" : "CORRUPT");
   }
 
-  const auto& net = driver.network();
   std::printf(
       "\ntraffic: %llu data, %llu control, %llu keepalive\n"
       "No participant ever held global membership; repair was local silence\n"
@@ -85,5 +104,5 @@ int main() {
       static_cast<unsigned long long>(net.data_messages()),
       static_cast<unsigned long long>(net.control_messages()),
       static_cast<unsigned long long>(net.keepalive_messages()));
-  return 0;
+  return all && late.decoded() && intact ? 0 : 1;
 }

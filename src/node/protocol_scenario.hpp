@@ -2,18 +2,21 @@
 // The protocol-plane scenario runner: the message-level analogue of
 // sim::run_scenario. Where the packet-level runner replays a FaultPlan
 // against a CurtainServer by direct calls, this one builds real endpoints —
-// one ServerNode, ClientNodes arriving per the plan — on a KernelTransport
-// over the simulation kernel, so joins ride actual hello messages, crashes
-// are detected by silence-timer complaints, and repairs are redirect orders
-// that can themselves be delayed, reordered, or lost. This is the harness
-// that finally tests Section 3's robustness story under control-plane
-// adversity (bench_control_loss) instead of assuming ideal control links.
+// one ServerNode, one ClientNode per planned client — on a ShardedTransport
+// over the sharded simulation kernel, so joins ride actual hello messages,
+// crashes are detected by silence-timer complaints, and repairs are
+// redirect orders that can themselves be delayed, reordered, or lost. This
+// is the harness that tests Section 3's robustness story under
+// control-plane adversity (bench_control_loss) instead of assuming ideal
+// control links.
 //
 // FaultPlan semantics on the message plane:
-//   kJoin  -> a new ClientNode is constructed and starts its hello exchange
+//   kJoin  -> the next planned ClientNode starts its hello exchange
 //             (join_ref targeting works as in the membership executor);
 //   kLeave -> the client sends its good-bye;
 //   kCrash -> the client goes dark and the fabric blackholes it;
+//             a leave or crash aimed at a client that has not started yet
+//             (or a leave after a crash) is a no-op;
 //   kRepair, kBehavior -> ignored: on the message plane repair is emergent
 //             (children complain, the server splices), and packet behaviors
 //             belong to the packet-level runner.
@@ -90,22 +93,18 @@ struct ProtocolScenarioReport {
 };
 
 /// Runs the message-plane scenario to its horizon and collects the report.
-ProtocolScenarioReport run_scenario(const ProtocolScenarioSpec& spec);
-
-/// Runs the same scenario on the sharded kernel (sim/sharded_engine.hpp):
-/// the server on lane 0, client address a on lane a, deliveries as
-/// cross-lane posts through ShardedTransport. The report is a pure function
-/// of the spec — independent of `shards` and `workers` (the sharded
-/// determinism contract) — with one exception: `max_in_flight` samples
-/// instantaneous concurrency *during* a window, and the interleaving of
-/// different lanes' equal-window events is unspecified, so the high-water
-/// mark may vary with shard/worker count even though every per-lane
-/// observable is identical. The report is NOT draw-for-draw identical to
-/// run_scenario(), whose transport consumes one global RNG stream in send
-/// order rather than per-sender streams. The epoch defaults to the spec's
+/// The server sits on lane 0 and client address a on lane a of a
+/// ShardedEngine with `shards` queues and `workers` threads; the defaults
+/// (one queue, run inline) are the sequential case. The report is a pure
+/// function of the spec — independent of `shards` and `workers` (the
+/// sharded determinism contract) — with one exception: `max_in_flight`
+/// samples instantaneous concurrency *during* a window, and the
+/// interleaving of different lanes' equal-window events is unspecified, so
+/// the high-water mark may vary with shard/worker count even though every
+/// per-lane observable is identical. The epoch defaults to the spec's
 /// minimum link latency, so no delivery is ever clamped.
 ProtocolScenarioReport run_scenario_sharded(const ProtocolScenarioSpec& spec,
-                                            std::uint32_t shards,
+                                            std::uint32_t shards = 1,
                                             std::uint32_t workers = 0);
 
 }  // namespace ncast::node

@@ -8,8 +8,8 @@ namespace ncast::node {
 
 namespace {
 
-// splitmix64 finalizer, same scheme as KernelTransport: partition sides and
-// per-sender streams must depend on address and run seed alone.
+// splitmix64 finalizer: partition sides must depend on address and run seed
+// alone, not on first-contact order.
 std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
@@ -40,10 +40,6 @@ ShardedTransport::ShardedTransport(sim::ShardedEngine& engine,
 
 void ShardedTransport::attach(Address addr, Endpoint* endpoint) {
   if (addr < endpoints_.size()) endpoints_[addr] = endpoint;
-}
-
-void ShardedTransport::detach(Address addr) {
-  if (addr < endpoints_.size()) endpoints_[addr] = nullptr;
 }
 
 void ShardedTransport::crash(Address addr) {

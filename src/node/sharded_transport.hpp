@@ -1,37 +1,41 @@
 #pragma once
-// Sharded message fabric: the KernelTransport semantics re-partitioned for
-// the sharded event kernel (sim/sharded_engine.hpp). The lane of an address
-// is the address itself, so a message send runs on the sender's lane and
-// its delivery is a cross-lane post to the receiver's lane.
+// The message fabric: Transport on the sharded event kernel
+// (sim/sharded_engine.hpp). The lane of an address is the address itself,
+// so a message send runs on the sender's lane and its delivery is a
+// cross-lane post to the receiver's lane. Each send samples a latency from
+// the spec, draws the plane's loss process, and tests the partition window
+// at the already-known arrival time.
 //
 // Shard-safety by ownership, not locks:
 //   - Per-sender randomness: each sender address owns an independent Rng
 //     (split from the run seed and the address alone) plus its own
 //     Gilbert-Elliott channel states, so the draw sequence of one sender
-//     can never depend on how other senders' traffic interleaves — the
-//     sharded analogue of KernelTransport's send-order determinism.
+//     depends only on its own send order, never on how other senders'
+//     traffic interleaves.
 //   - endpoints / crashed flags live in pre-sized vectors indexed by
 //     address and are written only from the owning lane (attach on start,
 //     crash from the fault event scheduled on the victim's lane) and read
-//     only on that lane too: the receiver-side crash test happens at
-//     delivery time (kBlackhole), not at send time, so no lane ever reads
-//     another lane's flag. This shifts sends to already-crashed receivers
-//     from kCrashed to kBlackhole relative to KernelTransport — the
-//     message is counted dropped either way.
-//   - The partition side of an address is a pure salted hash (same scheme
-//     as KernelTransport), so both lanes agree on it without shared state.
+//     only on that lane too: a crashed sender drops at send (kCrashed), a
+//     crashed receiver drops at delivery (kBlackhole) — including a send
+//     made after the receiver had already crashed — so no lane ever reads
+//     another lane's flag.
+//   - The partition side of an address is a pure salted hash, so both
+//     lanes agree on it without shared state.
 
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "node/transport.hpp"
+#include "obs/metrics.hpp"
 #include "sim/sharded_engine.hpp"
+#include "util/rng.hpp"
 
 namespace ncast::node {
 
-class ShardedTransport final : public AttachableTransport {
+class ShardedTransport final : public Transport {
  public:
   /// `max_addresses` pre-sizes every per-address table; traffic to or from
   /// addresses >= max_addresses is dropped as kUnattached. The lane of
@@ -40,7 +44,6 @@ class ShardedTransport final : public AttachableTransport {
                    std::uint64_t seed, std::size_t max_addresses);
 
   void attach(Address addr, Endpoint* endpoint) override;
-  void detach(Address addr) override;
 
   /// Owner-lane only (or setup phase): called from events scheduled on the
   /// address's own lane.
@@ -57,9 +60,6 @@ class ShardedTransport final : public AttachableTransport {
   std::uint64_t delivered() const {
     return delivered_.load(std::memory_order_relaxed);
   }
-
-  const TransportSpec& spec() const { return spec_; }
-  sim::ShardedEngine& engine() { return engine_; }
 
  protected:
   /// Runs on the sender's lane (m.from). Draw order per message is fixed —

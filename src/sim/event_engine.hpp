@@ -230,10 +230,8 @@ class EventEngine final : public Scheduler {
     return executed;
   }
 
-  /// Runs a single event if any is pending; returns whether one ran. The
-  /// lock-step compat drivers pump the engine through here one tick at a
-  /// time; it stays deliberately unprofiled (their wall time is dominated by
-  /// the drivers, not the handlers).
+  /// Runs a single event if any is pending; returns whether one ran. Unlike
+  /// run_until() it is deliberately unprofiled.
   bool step() {
     while (!queue_.empty()) {
       const Item item = queue_.top();

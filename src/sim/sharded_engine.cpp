@@ -254,7 +254,10 @@ void ShardedEngine::worker_main(std::uint32_t worker_idx) {
 std::size_t ShardedEngine::run_until(SimTime horizon) {
   const std::uint64_t executed_before = lifetime_executed_;
   // Per-run, per-shard attribution spans: a trace post-mortem can group a
-  // run's events by shard and see each shard's window activity.
+  // run's events by shard and see each shard's window activity. They are
+  // stamped at this engine's cursor, not at whatever time the process-wide
+  // trace clock was last left by another engine.
+  obs::trace().set_now(cursor_);
   for (std::size_t s = 0; s < shards_v_.size(); ++s) {
     shards_v_[s].span = obs::trace().new_span();
     obs::trace().emit(obs::TraceKind::kSpanBegin, s, 0, 0, "shard",

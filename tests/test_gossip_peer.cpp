@@ -6,7 +6,8 @@
 
 #include <memory>
 
-#include "node/driver.hpp"
+#include "node/gossip_peer.hpp"
+#include "protocol_harness.hpp"
 #include "util/rng.hpp"
 
 namespace ncast {
@@ -23,9 +24,9 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
 
 struct Swarm {
   GossipPeerConfig cfg;
+  Fabric fabric;
   std::unique_ptr<GossipPeer> source;
   std::vector<std::unique_ptr<GossipPeer>> peers;
-  std::unique_ptr<GossipDriver> driver;
 
   explicit Swarm(std::size_t n_peers, std::uint32_t source_slots = 6,
                  std::uint64_t seed = 1) {
@@ -37,24 +38,31 @@ struct Swarm {
     source_cfg.upload_slots = source_slots;
     source = std::make_unique<GossipPeer>(
         1, source_cfg, random_bytes(8 * 8 * 2, seed ^ 0x99), 8, 8);
-
-    std::vector<GossipPeer*> ptrs{source.get()};
+    source->start(fabric.engine.lane(1), fabric.net);
     for (std::size_t i = 0; i < n_peers; ++i) {
       // Early peers are introduced to the source; later ones to a random
       // earlier peer — nobody else ever learns the membership centrally.
-      const Address addr = static_cast<Address>(i + 2);
       const Address introducer =
           i == 0 ? 1 : static_cast<Address>(2 + (seed + i * 7) % i);
-      peers.push_back(std::make_unique<GossipPeer>(addr, cfg, introducer));
-      ptrs.push_back(peers.back().get());
+      add_peer(static_cast<Address>(i + 2), introducer);
     }
-    driver = std::make_unique<GossipDriver>(ptrs);
+  }
+
+  GossipPeer& add_peer(Address addr, Address introducer) {
+    peers.push_back(std::make_unique<GossipPeer>(addr, cfg, introducer));
+    peers.back()->start(fabric.engine.lane(addr), fabric.net);
+    return *peers.back();
+  }
+
+  bool run_until_decoded(double budget) {
+    return fabric.run_until([this] { return all_live_decoded(peers); },
+                            budget);
   }
 };
 
 TEST(GossipPeer, SwarmBootstrapsAndDecodes) {
   Swarm s(20);
-  ASSERT_TRUE(s.driver->run_until_decoded(600));
+  ASSERT_TRUE(s.run_until_decoded(600));
   for (auto& p : s.peers) {
     EXPECT_TRUE(p->decoded());
     EXPECT_EQ(p->data(), s.source->data());
@@ -64,7 +72,7 @@ TEST(GossipPeer, SwarmBootstrapsAndDecodes) {
 
 TEST(GossipPeer, ViewsStayBoundedAndUseful) {
   Swarm s(30);
-  s.driver->run(100);
+  s.fabric.run(100);
   for (auto& p : s.peers) {
     EXPECT_LE(p->view_size(), s.cfg.view_limit);
     EXPECT_GE(p->view_size(), 1u);
@@ -73,7 +81,7 @@ TEST(GossipPeer, ViewsStayBoundedAndUseful) {
 
 TEST(GossipPeer, DecentralizedRepairAfterCrash) {
   Swarm s(18);
-  s.driver->run(30);  // everyone wired up and streaming
+  s.fabric.run(30);  // everyone wired up and streaming
 
   // Crash a peer that is serving children; its children must notice the
   // silence, drop it, and re-acquire feeds from elsewhere — no server.
@@ -85,13 +93,13 @@ TEST(GossipPeer, DecentralizedRepairAfterCrash) {
     }
   }
   ASSERT_NE(victim, nullptr);
-  s.driver->crash(*victim);
+  s.fabric.crash(*victim);
 
-  ASSERT_TRUE(s.driver->run_until_decoded(800));
+  ASSERT_TRUE(s.run_until_decoded(800));
   // Decoding often finishes before the silence timeout even fires (the
   // redundancy covers the outage); run on so the repair machinery itself is
   // observable: the children must drop the corpse and re-acquire.
-  s.driver->run(s.cfg.silence_timeout * 2 + s.cfg.request_timeout + 6);
+  s.fabric.run(s.cfg.silence_timeout * 2 + s.cfg.request_timeout + 6);
   std::uint64_t reacquisitions = 0;
   for (auto& p : s.peers) {
     if (p->crashed()) continue;
@@ -104,16 +112,16 @@ TEST(GossipPeer, DecentralizedRepairAfterCrash) {
 
 TEST(GossipPeer, GracefulLeaveReleasesSlotsAndRewires) {
   Swarm s(16);
-  s.driver->run(30);
+  s.fabric.run(30);
   auto& leaver = *s.peers[3];
   const auto parents = leaver.parent_count();
   ASSERT_GT(parents, 0u);
-  leaver.leave(s.driver->network());
+  leaver.leave(s.fabric.net);
   EXPECT_TRUE(leaver.departed());
-  s.driver->run(20);
+  s.fabric.run(20);
   // Its former children must have re-acquired (or already held) full feeds
   // and everyone still completes.
-  ASSERT_TRUE(s.driver->run_until_decoded(600));
+  ASSERT_TRUE(s.run_until_decoded(600));
   for (auto& p : s.peers) {
     if (p->departed()) continue;
     EXPECT_TRUE(p->decoded());
@@ -122,7 +130,7 @@ TEST(GossipPeer, GracefulLeaveReleasesSlotsAndRewires) {
 
 TEST(GossipPeer, SourceNeverRequestsAndServesItsSlots) {
   Swarm s(12, /*source_slots=*/4);
-  s.driver->run(60);
+  s.fabric.run(60);
   EXPECT_TRUE(s.source->is_source());
   EXPECT_EQ(s.source->parent_count(), 0u);
   EXPECT_LE(s.source->child_count(), 4u);
@@ -131,20 +139,19 @@ TEST(GossipPeer, SourceNeverRequestsAndServesItsSlots) {
 
 TEST(GossipPeer, LateJoinerFindsTheSwarmViaGossip) {
   Swarm s(15);
-  ASSERT_TRUE(s.driver->run_until_decoded(600));
+  ASSERT_TRUE(s.run_until_decoded(600));
   // The latecomer is introduced to a random old peer, never the source.
-  auto late = std::make_unique<GossipPeer>(200, s.cfg, /*introducer=*/9);
-  s.driver->add_peer(late.get());
-  s.driver->run(400);
-  EXPECT_TRUE(late->decoded());
-  EXPECT_EQ(late->data(), s.source->data());
+  GossipPeer& late = s.add_peer(200, /*introducer=*/9);
+  s.fabric.run(400);
+  EXPECT_TRUE(late.decoded());
+  EXPECT_EQ(late.data(), s.source->data());
 }
 
 TEST(GossipPeer, DenialsCarrySamplesSoSearchProgresses) {
   // A tiny source (1 slot) forces most requests to be denied; the swarm must
   // still complete because denials fan the search out.
   Swarm s(10, /*source_slots=*/1);
-  EXPECT_TRUE(s.driver->run_until_decoded(1500));
+  EXPECT_TRUE(s.run_until_decoded(1500));
 }
 
 TEST(GossipPeer, NullKeysPropagateTransitively) {
@@ -156,15 +163,16 @@ TEST(GossipPeer, NullKeysPropagateTransitively) {
   cfg.null_keys = 3;
   GossipPeerConfig source_cfg = cfg;
   source_cfg.upload_slots = 2;
+  Fabric fabric;
   GossipPeer source(1, source_cfg, random_bytes(8 * 8, 11), 8, 8);
+  source.start(fabric.engine.lane(1), fabric.net);
   std::vector<std::unique_ptr<GossipPeer>> peers;
-  std::vector<GossipPeer*> ptrs{&source};
   for (Address a = 2; a <= 13; ++a) {
     peers.push_back(std::make_unique<GossipPeer>(a, cfg, a - 1));
-    ptrs.push_back(peers.back().get());
+    peers.back()->start(fabric.engine.lane(a), fabric.net);
   }
-  GossipDriver driver(ptrs);
-  ASSERT_TRUE(driver.run_until_decoded(800));
+  ASSERT_TRUE(
+      fabric.run_until([&] { return all_live_decoded(peers); }, 800));
   for (auto& p : peers) {
     EXPECT_TRUE(p->verification_enabled()) << "peer " << p->address();
     EXPECT_EQ(p->data(), source.data());
@@ -174,10 +182,10 @@ TEST(GossipPeer, NullKeysPropagateTransitively) {
 TEST(GossipPeer, SustainedChurnSelfHeals) {
   Swarm s(24, 6, /*seed=*/5);
   Rng rng(77);
-  s.driver->run(30);
+  s.fabric.run(30);
   std::size_t crashes = 0, leaves = 0;
   for (int step = 0; step < 30; ++step) {
-    s.driver->run(8);
+    s.fabric.run(8);
     std::vector<GossipPeer*> live;
     for (auto& p : s.peers) {
       if (!p->crashed() && !p->departed()) live.push_back(p.get());
@@ -185,16 +193,16 @@ TEST(GossipPeer, SustainedChurnSelfHeals) {
     if (live.size() <= 12) break;  // keep a viable swarm
     const auto roll = rng.below(10);
     if (roll < 3) {
-      s.driver->crash(*live[rng.below(live.size())]);
+      s.fabric.crash(*live[rng.below(live.size())]);
       ++crashes;
     } else if (roll < 5) {
-      live[rng.below(live.size())]->leave(s.driver->network());
+      live[rng.below(live.size())]->leave(s.fabric.net);
       ++leaves;
     }
   }
   EXPECT_GT(crashes, 0u);
   EXPECT_GT(leaves, 0u);
-  ASSERT_TRUE(s.driver->run_until_decoded(1500));
+  ASSERT_TRUE(s.run_until_decoded(1500));
   for (auto& p : s.peers) {
     if (p->crashed() || p->departed()) continue;
     EXPECT_TRUE(p->decoded());

@@ -1,4 +1,4 @@
-// Protocol-level churn stress: hundreds of ticks of interleaved joins,
+// Protocol-level churn stress: hundreds of time units of interleaved joins,
 // graceful leaves, silent crashes, and congestion adjustments against live
 // ServerNode/ClientNode endpoints, with consistency checked throughout and
 // end-to-end payload integrity at the end. This is the closest thing in the
@@ -8,7 +8,9 @@
 
 #include <memory>
 
-#include "node/driver.hpp"
+#include "node/client_node.hpp"
+#include "node/server_node.hpp"
+#include "protocol_harness.hpp"
 #include "util/rng.hpp"
 
 namespace ncast {
@@ -34,27 +36,28 @@ TEST_P(ProtocolChurn, SustainedMixedWorkload) {
   scfg.generation_size = 8;
   scfg.symbols = 8;
   scfg.seed = seed;
+  Fabric fabric;
   ServerNode server(scfg, random_bytes(8 * 8 * 2, seed ^ 0x1234));
+  server.start(fabric.engine.lane(kServerAddress), fabric.net);
 
   ClientConfig ccfg;
   ccfg.silence_timeout = 6;
   ccfg.seed = seed;
 
   std::vector<std::unique_ptr<ClientNode>> clients;
-  TickDriver driver(server, {});
   Rng rng(seed * 31 + 7);
   Address next_address = 1;
 
   auto spawn = [&] {
-    clients.push_back(std::make_unique<ClientNode>(next_address++, ccfg));
-    driver.add_client(clients.back().get());
-    clients.back()->join(driver.network());
+    clients.push_back(std::make_unique<ClientNode>(next_address, ccfg));
+    clients.back()->start(fabric.engine.lane(next_address), fabric.net);
+    ++next_address;
   };
   for (int i = 0; i < 10; ++i) spawn();
 
   std::size_t leaves = 0, crashes = 0;
   for (int step = 0; step < 120; ++step) {
-    driver.run(3);
+    fabric.run(3);
 
     // Pick a random live, joined client for an action.
     std::vector<ClientNode*> live;
@@ -68,15 +71,15 @@ TEST_P(ProtocolChurn, SustainedMixedWorkload) {
     if (roll < 40 || live.size() < 6) {
       spawn();
     } else if (roll < 55) {
-      live[rng.below(live.size())]->leave(driver.network());
+      live[rng.below(live.size())]->leave(fabric.net);
       ++leaves;
     } else if (roll < 70) {
-      driver.crash(*live[rng.below(live.size())]);
+      fabric.crash(*live[rng.below(live.size())]);
       ++crashes;
     } else if (roll < 85) {
-      live[rng.below(live.size())]->request_offload(driver.network());
+      live[rng.below(live.size())]->request_offload(fabric.net);
     } else {
-      live[rng.below(live.size())]->request_restore(driver.network());
+      live[rng.below(live.size())]->request_restore(fabric.net);
     }
     ASSERT_TRUE(server.matrix().check_invariants()) << "step " << step;
   }
@@ -85,11 +88,11 @@ TEST_P(ProtocolChurn, SustainedMixedWorkload) {
   EXPECT_GT(crashes, 0u);
 
   // Quiesce: let all complaints resolve, then stream to completion.
-  driver.run(60);
+  fabric.run(60);
   EXPECT_EQ(server.matrix().failed_count(), 0u);
 
   std::size_t live_joined = 0, decoded = 0, verified = 0;
-  driver.run(800);
+  fabric.run(800);
   for (auto& c : clients) {
     if (c->crashed() || !c->joined()) continue;
     if (!server.matrix().contains(c->address())) continue;  // left gracefully

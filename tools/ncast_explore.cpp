@@ -21,7 +21,9 @@
 #include <memory>
 #include <string>
 
-#include "node/driver.hpp"
+#include "node/client_node.hpp"
+#include "node/server_node.hpp"
+#include "node/sharded_transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "overlay/curtain_server.hpp"
@@ -29,6 +31,7 @@
 #include "overlay/flow_graph.hpp"
 #include "overlay/polymatroid.hpp"
 #include "sim/broadcast.hpp"
+#include "sim/sharded_engine.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -202,30 +205,38 @@ int cmd_stream(const Args& a) {
   for (auto& b : content) b = static_cast<std::uint8_t>(data_rng.below(256));
   node::ServerNode server(scfg, content);
 
+  // Lossless links with a fixed latency of one time unit; address a runs on
+  // lane a of a one-shard kernel (the sequential case).
+  sim::ShardedEngine engine(/*shards=*/1, /*workers=*/0, /*epoch=*/1.0);
+  node::ShardedTransport net(engine, node::TransportSpec{}, seed, n + 1);
+  server.start(engine.lane(node::kServerAddress), net);
+
   node::ClientConfig ccfg;
   std::vector<std::unique_ptr<node::ClientNode>> clients;
-  std::vector<node::ClientNode*> ptrs;
   for (std::uint64_t i = 0; i < n; ++i) {
-    clients.push_back(std::make_unique<node::ClientNode>(
-        static_cast<node::Address>(i + 1), ccfg));
-    ptrs.push_back(clients.back().get());
+    const auto addr = static_cast<node::Address>(i + 1);
+    clients.push_back(std::make_unique<node::ClientNode>(addr, ccfg));
+    clients.back()->start(engine.lane(addr), net);
   }
-  node::TickDriver driver(server, ptrs);
-  for (auto& c : clients) c->join(driver.network());
-  const bool done = driver.run_until_decoded(20000);
-
   std::size_t verified = 0;
+  std::size_t decoded = 0;
+  while (decoded < n && engine.now() < 20000.0) {
+    engine.run_until(engine.now() + 1.0);
+    decoded = 0;
+    for (auto& c : clients) decoded += c->decoded() ? 1 : 0;
+  }
   for (auto& c : clients) {
     if (c->decoded() && c->data() == server.data()) ++verified;
   }
+  const bool done = verified == n;
   Table t({"metric", "value"});
   t.add_row({"completed", done ? "yes" : "NO"});
-  t.add_row({"ticks", std::to_string(driver.now())});
+  t.add_row({"time units", fmt(engine.now(), 0)});
   t.add_row({"verified payloads", std::to_string(verified) + "/" + std::to_string(n)});
-  t.add_row({"data msgs", std::to_string(driver.network().data_messages())});
-  t.add_row({"control msgs", std::to_string(driver.network().control_messages())});
+  t.add_row({"data msgs", std::to_string(net.data_messages())});
+  t.add_row({"control msgs", std::to_string(net.control_messages())});
   t.print();
-  return 0;
+  return done ? 0 : 1;
 }
 
 void usage() {
